@@ -30,7 +30,6 @@
 #include "core/set_arrival.h"
 #include "core/trivial.h"
 #include "engine/engine.h"
-#include "engine/sharded.h"
 #include "offline/greedy.h"
 #include "stream/orderings.h"
 #include "stream/stream_file.h"
@@ -188,127 +187,35 @@ BENCHMARK(BM_NGuessThreads)
                      // calling thread alone would fake a speedup
     ->MinTime(0.5);
 
-// The sharded execution mode across shard counts W: the full fan-out +
-// deterministic-protocol merge (engine/sharded.h) over the shared
-// in-memory stream. items/s is the *aggregate* ingest rate — on
-// multi-core hosts it should scale near-linearly to W=4; on a
-// single-core host the rows stay flat and the num_cpus counter lets the
-// perf gate skip the cross-host comparison. Two acceptance checks run
-// in-bench: the W=1 row must be bit-identical to the unsharded engine,
-// and every row's merge message must stay within the protocol's Õ(n)
-// bound.
-void BM_ShardedIngest(benchmark::State& state) {
-  const uint32_t shards = static_cast<uint32_t>(state.range(0));
+// The engine's own in-memory entry point: the same kk run as the
+// BM_Throughput row, but through engine::Execute — algorithm
+// resolution, the unsupervised fast path, finalize and report stamping
+// — so the gap between the two rows is the engine's overhead over a
+// hand-driven loop.
+void BM_ExecuteIngest(benchmark::State& state) {
   const EdgeStream& stream = SharedStream();
-
-  engine::ShardedRunConfig config;
-  config.base.algorithm = "kk";
-  config.base.options.seed = 3;
-  config.base.source = engine::SourceSpec::InMemory(stream);
-  config.shards = shards;
-
-  engine::RunReport report;
-  for (auto _ : state) {
-    report = engine::ExecuteSharded(config);
-    if (!report.error.empty()) {
-      state.SkipWithError(report.error.c_str());
-      break;
-    }
-    benchmark::DoNotOptimize(report.solution.cover.size());
-  }
-  if (report.completed) {
-    if (shards == 1) {
-      const engine::RunReport reference = engine::Execute(config.base);
-      if (report.solution.cover != reference.solution.cover ||
-          report.solution.certificate != reference.solution.certificate) {
-        state.SkipWithError("W=1 sharded run diverged from engine::Execute");
-      }
-    } else if (report.sharded.max_message_words >
-               report.sharded.message_words_bound) {
-      state.SkipWithError("merge message exceeded the O~(n) bound");
-    }
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) *
-                          int64_t(stream.size()));
-  state.SetLabel("sharded-ingest/kk/w" + std::to_string(shards));
-  state.counters["shards"] = double(shards);
-  state.counters["stream_edges"] = double(stream.size());
-  state.counters["merged_cover"] = double(report.solution.cover.size());
-  state.counters["merge_message_words"] =
-      double(report.sharded.max_message_words);
-  state.counters["message_bound"] =
-      double(report.sharded.message_words_bound);
-  state.counters["num_cpus"] = double(std::thread::hardware_concurrency());
-}
-
-BENCHMARK(BM_ShardedIngest)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()  // the shard workers carry the load
-    ->MinTime(0.5);
-
-// The execution-substrate seam: the same RunConfig through each
-// registered backend (engine/backend.h) at representative worker
-// counts. The interesting deltas are the substrate overheads — thread
-// fan-out + merge for sharded, fork + shm-ring feeding + per-worker
-// reports for forked — over the identical pipeline work, since covers
-// are bit-identical across rows at equal W (backend_matrix_test pins
-// that; the in-bench check here re-asserts it against the inprocess
-// run at W = 1). Multi-worker rows only scale on multi-core hosts;
-// num_cpus lets the perf gate annotate-and-skip cross-host
-// comparisons.
-void BM_BackendIngest(benchmark::State& state) {
-  static const char* const kBackends[] = {"inprocess", "sharded", "forked"};
-  const std::string backend = kBackends[state.range(0)];
-  const uint32_t workers = static_cast<uint32_t>(state.range(1));
-  const EdgeStream& stream = SharedStream();
-
   engine::RunConfig config;
   config.algorithm = "kk";
   config.options.seed = 3;
   config.source = engine::SourceSpec::InMemory(stream);
-  config.backend.name = backend;
-  config.backend.workers = workers;
 
-  engine::RunReport report;
   for (auto _ : state) {
-    report = engine::Execute(config);
-    if (!report.error.empty()) {
+    engine::RunReport report = engine::Execute(config);
+    if (!report.completed) {
       state.SkipWithError(report.error.c_str());
       break;
     }
     benchmark::DoNotOptimize(report.solution.cover.size());
   }
-  if (report.completed && workers == 1 && backend != "inprocess") {
-    engine::RunConfig reference = config;
-    reference.backend = engine::BackendSpec{};
-    reference.backend.name = "inprocess";
-    const engine::RunReport expected = engine::Execute(reference);
-    if (report.solution.cover != expected.solution.cover ||
-        report.solution.certificate != expected.solution.certificate) {
-      state.SkipWithError("W=1 backend run diverged from inprocess");
-    }
-  }
   state.SetItemsProcessed(int64_t(state.iterations()) *
                           int64_t(stream.size()));
-  state.SetLabel("backend-ingest/" + backend + "/w" +
-                 std::to_string(workers));
-  state.counters["workers"] = double(workers);
+  state.SetLabel("execute-ingest/kk");
   state.counters["stream_edges"] = double(stream.size());
-  state.counters["num_cpus"] = double(std::thread::hardware_concurrency());
 }
 
-BENCHMARK(BM_BackendIngest)
-    ->Args({0, 1})  // inprocess
-    ->Args({1, 1})  // sharded W=1 (substrate overhead at parity)
-    ->Args({1, 4})
-    ->Args({2, 1})  // forked W=1 (fork + ring feeding overhead)
-    ->Args({2, 4})
+BENCHMARK(BM_ExecuteIngest)
     ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()  // workers (threads or processes) carry the load
+    ->UseRealTime()
     ->MinTime(0.5);
 
 // ---- Offline-kernel rows: the bucket-queue greedy vs the lazy-heap

@@ -7,8 +7,8 @@
 # stamped with the CMake build type and the git SHA it was recorded at,
 # so a baseline from an unoptimized build (or an unknown tree) can
 # never silently become the perf gate — check.sh --bench-smoke verifies
-# the stamp before comparing. Parallel rows (sharded ingest, n-guess
-# threads) additionally stamp the recording host's num_cpus; the gate
+# the stamp before comparing. Parallel rows (n-guess threads, server
+# ingest) additionally stamp the recording host's num_cpus; the gate
 # annotates-and-skips those rows when the gating host's core count
 # differs, since a speedup curve only transfers between like hosts.
 #

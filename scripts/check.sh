@@ -24,8 +24,7 @@
 #      session wire protocol's hostile-byte surface, under ASan+UBSan,
 #   3. the thread pool + parallel multi-run (which fans out over
 #      engine::Execute sessions) + prefetch decoder tests, plus the
-#      concurrent session server and its kill-and-resume soak and the
-#      sharded multi-worker runner's equivalence/resume suite, under
+#      concurrent session server and its kill-and-resume soak, under
 #      TSan (-DSETCOVER_TSAN=ON), so the engine-backed parallel drivers
 #      and the server's scheduler/drain paths are race-checked.
 #
@@ -35,9 +34,9 @@
 # src/server/ must stay a pure engine client (no includes of the
 # core/instance/algorithm layers), raw shared-memory plumbing
 # (memfd_create / SCM_RIGHTS fd passing) stays confined to
-# src/util/shm_ring.* and src/server/transport.*, and process control
-# (fork / waitpid / execve) stays confined to the forked execution
-# backend (src/engine/backends/forked.*).
+# src/util/shm_ring.* and src/server/transport.*, the deterministic
+# t-party protocol is called only inside src/comm/, and no production
+# code does process control (fork / waitpid / execve) at all.
 #
 # Usage: scripts/check.sh [--bench-smoke] [jobs]
 set -euo pipefail
@@ -50,9 +49,6 @@ echo "== layering guard: ProcessEdgeBatch callers outside src/engine/ =="
 GUARD_ALLOW=(
   src/engine/engine.cc
   src/engine/session.cc
-  src/engine/backends/inprocess.cc
-  src/engine/backends/sharded.cc
-  src/engine/backends/forked.cc
   src/core/streaming_algorithm.h
   src/core/streaming_algorithm.cc
   src/core/multi_run.cc
@@ -92,22 +88,16 @@ if [[ -n "$INTRIN_HITS" ]]; then
   echo "add a kernel to util/simd.h instead (see docs/performance.md)"
   exit 1
 fi
-# The deterministic t-party protocol is the sharded engine's merge
-# primitive and nothing else's: outside its own definition site, only
-# src/engine/ may call it, so every production merge inherits the
-# 2√(n·t) guarantee and the Õ(n) message accounting in one place.
-# bench/ and tests/ are exempt by not being scanned.
-PROTO_ALLOW=(
-  src/engine/backends/shard_common.cc
-  src/comm/deterministic_protocol.h
-  src/comm/deterministic_protocol.cc
-)
+# The deterministic t-party protocol of paper §3 is a communication-
+# model experiment (F6), not part of any streaming run path: no
+# production code outside src/comm/ may call it. bench/ and tests/ are
+# exempt by not being scanned.
 PROTO_HITS=$(grep -rnE 'RunDeterministicProtocol\(' src/ tools/ examples/ \
-  $(printf -- "--exclude=%s " "${PROTO_ALLOW[@]##*/}") || true)
+  | grep -v '^src/comm/' || true)
 if [[ -n "$PROTO_HITS" ]]; then
   echo "$PROTO_HITS"
-  echo "layering guard: RunDeterministicProtocol called outside src/engine/;"
-  echo "merge per-shard covers via engine::ExecuteSharded (see docs/architecture.md)"
+  echo "layering guard: RunDeterministicProtocol called outside src/comm/;"
+  echo "the §3 protocol is the F6 communication experiment (see docs/paper_map.md)"
   exit 1
 fi
 # Raw shared-memory plumbing (memfd creation, fd passing over sockets)
@@ -126,17 +116,15 @@ if [[ -n "$SHM_HITS" ]]; then
   echo "and src/server/transport.*; use ShmRing / ConnectShm instead"
   exit 1
 fi
-# Process control is the forked execution backend's business and nobody
-# else's: one reviewed file owns the fork/exec/reap lifecycle (child
-# hygiene, worker reaping, partial-failure reporting), so every
-# multi-process run inherits its crash semantics instead of growing a
-# second, subtly different fork site.
+# Every run executes in one process: no production code forks, execs
+# or reaps children, so crash semantics have exactly one shape (the
+# checkpoint/resume contract of docs/robustness.md).
 FORK_HITS=$(grep -rnE '\b(fork|waitpid|execve)\s*\(' src/ tools/ examples/ \
-  --exclude=forked.h --exclude=forked.cc || true)
+  || true)
 if [[ -n "$FORK_HITS" ]]; then
   echo "$FORK_HITS"
-  echo "layering guard: fork/waitpid/execve outside src/engine/backends/forked.*;"
-  echo "run multi-process work through the forked backend (--backend=forked)"
+  echo "layering guard: fork/waitpid/execve in production code;"
+  echo "runs execute in-process through engine::Execute / engine::Session"
   exit 1
 fi
 echo "layering guard: clean"
@@ -201,7 +189,7 @@ if [[ "$BENCH_SMOKE" == "1" ]]; then
   GATE_OK=0
   for GATE_ATTEMPT in 1 2 3; do
     build-release/bench/bench_throughput \
-      '--benchmark_filter=FileReplay|BM_GreedyCover/|IngestCeiling|ShardedIngest|BackendIngest' \
+      '--benchmark_filter=FileReplay|BM_GreedyCover/|IngestCeiling|ExecuteIngest' \
       --benchmark_format=json >/tmp/setcover_replay_smoke.json
     # The server ingest matrix runs as its own binary: a full session
     # per iteration (open/ingest/finalize/close) against a live server,
@@ -225,8 +213,8 @@ if [[ "$BENCH_SMOKE" == "1" ]]; then
 import json, sys
 
 FLOOR = 0.7  # fail if a row drops below this fraction of the baseline
-GATED = ("backend-ingest/", "file-replay/", "greedy/bucket-queue",
-         "ingest-ceiling/", "sharded-ingest/", "transport-ingest/")
+GATED = ("execute-ingest/", "file-replay/", "greedy/bucket-queue",
+         "ingest-ceiling/", "transport-ingest/")
 
 def replay_rows(*paths):
     # Merge the gated rows from several benchmark JSON files (the
@@ -261,15 +249,14 @@ for label, base_row in sorted(baseline.items()):
         print(f"perf gate: MISSING {label} (baseline {base_eps/1e6:.1f} M edges/s)")
         failed = True
         continue
-    # Parallel-speedup rows (shard or thread fan-out wider than one) are
-    # only comparable between hosts with the same core count: a W=4 row
+    # Parallel-speedup rows (thread fan-out wider than one) are only
+    # comparable between hosts with the same core count: a 4-thread row
     # recorded on a 1-core baseline host says nothing about a 16-core CI
     # runner. Each row stamps the recording host's num_cpus; on mismatch
     # the gate annotates and skips that row rather than mis-gating.
-    workers = max(base_row.get("shards", 1), base_row.get("threads", 1),
-                  base_row.get("workers", 1))
+    threads = base_row.get("threads", 1)
     row_cpus = base_row.get("num_cpus", base_cpus)
-    if workers > 1 and row_cpus is not None and row_cpus != cur_cpus:
+    if threads > 1 and row_cpus is not None and row_cpus != cur_cpus:
         print(f"perf gate: SKIPPED {label}: parallel row recorded on a "
               f"{int(row_cpus)}-cpu host, this host has "
               f"{int(cur_cpus) if cur_cpus else '?'}")
@@ -302,19 +289,9 @@ EOF
     --target engine_equivalence_test batch_equivalence_test \
              stream_format_test greedy_kernel_test instance_test \
              bitset_test wire_protocol_test engine_session_test \
-             simd_kernel_test simd_dispatch_test sharded_engine_test \
-             backend_matrix_test \
+             simd_kernel_test simd_dispatch_test \
              shm_ring_test transport_framing_test windowed_ingest_test
   build-asan/tests/engine_equivalence_test
-  # The sharded runner's W=1 bit-identity, protocol bounds, and
-  # aggregate-checkpoint resume, with ASan watching the merge's
-  # candidate remapping.
-  build-asan/tests/sharded_engine_test
-  # The execution-substrate matrix — cross-backend bit-identity, the
-  # forked backend's fork/ring/reap lifecycle, and kill-one-worker
-  # resume — with ASan watching both sides of every shm ring and the
-  # post-fork child paths.
-  build-asan/tests/backend_matrix_test
   build-asan/tests/batch_equivalence_test
   build-asan/tests/stream_format_test
   build-asan/tests/greedy_kernel_test
@@ -345,7 +322,7 @@ EOF
   cmake --build build-tsan -j "$JOBS" \
     --target thread_pool_test multi_run_test batch_equivalence_test \
              prefetch_decoder_test session_server_test session_soak_test \
-             sharded_engine_test shm_ring_test windowed_ingest_test
+             shm_ring_test windowed_ingest_test
   build-tsan/tests/thread_pool_test
   build-tsan/tests/multi_run_test
   build-tsan/tests/batch_equivalence_test
@@ -354,10 +331,6 @@ EOF
   # the 1024-session kill-and-resume soak, all race-checked.
   build-tsan/tests/session_server_test
   build-tsan/tests/session_soak_test
-  # W worker pipelines over the shared thread pool, all racing into the
-  # mutex-guarded aggregate-checkpoint sink — the sharded runner's
-  # equivalence + kill-and-resume suite doubles as its race soak.
-  build-tsan/tests/sharded_engine_test
   # The shm ring's acquire/release cursor protocol under a real
   # producer/consumer pair, and the windowed client racing its in-flight
   # frames against a multi-worker server's per-connection tickets.

@@ -24,7 +24,6 @@ std::vector<AlgorithmInfo> BuildRegistry() {
        "O~(m)",
        "O~(sqrt n)",
        {"adversarial", "random"},
-       /*shardable=*/true,
        [](const AlgorithmOptions& options) {
          return std::make_unique<KkAlgorithm>(options.seed);
        }});
@@ -35,7 +34,6 @@ std::vector<AlgorithmInfo> BuildRegistry() {
        "O~(m*n/alpha^2)",
        "O(alpha*log m), alpha >= 2*sqrt(n)",
        {"adversarial", "random"},
-       /*shardable=*/true,
        [](const AlgorithmOptions& options) {
          AdversarialLevelParams params;
          params.alpha = options.alpha;
@@ -49,7 +47,6 @@ std::vector<AlgorithmInfo> BuildRegistry() {
        "O~(m/sqrt n)",
        "O~(sqrt n)",
        {"random"},
-       /*shardable=*/true,
        [](const AlgorithmOptions& options) {
          return std::make_unique<RandomOrderAlgorithm>(options.seed);
        }});
@@ -60,7 +57,6 @@ std::vector<AlgorithmInfo> BuildRegistry() {
        "O~(m/sqrt n)",
        "O~(sqrt n)",
        {"random"},
-       /*shardable=*/true,
        [](const AlgorithmOptions& options) {
          RandomOrderParams params;
          params.use_sketch_epoch0 = true;
@@ -73,7 +69,6 @@ std::vector<AlgorithmInfo> BuildRegistry() {
        "O~(m/sqrt n)",
        "O~(sqrt n)",
        {"random"},
-       /*shardable=*/true,
        [](const AlgorithmOptions& options) {
          return std::make_unique<RandomOrderAlgorithm>(
              options.seed, RandomOrderParams::PaperFaithful());
@@ -85,7 +80,6 @@ std::vector<AlgorithmInfo> BuildRegistry() {
        "O~(m/sqrt n) * log(n^1.5)",
        "O~(sqrt n)",
        {"random"},
-       /*shardable=*/false,  // already a parallel multi-run wrapper
        [](const AlgorithmOptions& options) {
          return std::make_unique<NGuessRandomOrder>(
              options.seed, RandomOrderParams{}, options.threads);
@@ -97,7 +91,6 @@ std::vector<AlgorithmInfo> BuildRegistry() {
        "O~(m*n/alpha)",
        "O~(alpha), alpha = o(sqrt n)",
        {"adversarial", "random"},
-       /*shardable=*/true,
        [](const AlgorithmOptions& options) {
          ElementSamplingParams params;
          params.alpha = options.alpha;
@@ -111,7 +104,6 @@ std::vector<AlgorithmInfo> BuildRegistry() {
        "O~(n)",
        "Theta(sqrt n)",
        {"set-major"},
-       /*shardable=*/true,
        [](const AlgorithmOptions&) {
          return std::make_unique<SetArrivalThreshold>();
        }});
@@ -121,7 +113,6 @@ std::vector<AlgorithmInfo> BuildRegistry() {
        "O~(n)",
        "<= n",
        {"adversarial", "random"},
-       /*shardable=*/true,
        [](const AlgorithmOptions&) {
          return std::make_unique<FirstSetPatching>();
        }});
@@ -132,7 +123,6 @@ std::vector<AlgorithmInfo> BuildRegistry() {
        "Theta(N)",
        "ln n",
        {"adversarial", "random"},
-       /*shardable=*/false,  // Theta(N) buffering: the offline comparator
        [](const AlgorithmOptions&) {
          return std::make_unique<StoreEverythingGreedy>();
        }});
@@ -211,31 +201,6 @@ std::string UnknownAlgorithmError(const std::string& name) {
   message += "; registered algorithms:";
   for (const AlgorithmInfo& info : AlgorithmRegistry()) {
     message += " " + info.name;
-  }
-  return message;
-}
-
-std::vector<std::string> ShardableAlgorithmNames() {
-  std::vector<std::string> names;
-  for (const AlgorithmInfo& info : AlgorithmRegistry()) {
-    if (info.shardable) names.push_back(info.name);
-  }
-  return names;
-}
-
-std::string NotShardableError(const std::string& name) {
-  std::string message = "algorithm '" + name + "' is not shardable";
-  const AlgorithmInfo* info = FindAlgorithm(name);
-  if (info != nullptr) {
-    // Say *why* this row opted out, straight from its registry comment.
-    message += name == "random-order-nguess"
-                   ? " (it is already a parallel multi-run wrapper)"
-                   : " (it buffers the whole stream; sharding cannot "
-                     "reduce its space)";
-  }
-  message += "; run without --shards, or pick a shardable algorithm:";
-  for (const std::string& shardable : ShardableAlgorithmNames()) {
-    message += " " + shardable;
   }
   return message;
 }

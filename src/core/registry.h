@@ -36,14 +36,6 @@ struct AlgorithmInfo {
   std::string space_class;  // e.g. "O~(m)" — Table 1's space column
   std::string approx_class; // e.g. "O~(sqrt n)" — Table 1's ratio column
   std::vector<std::string> supported_orders;
-  /// The algorithm can serve as the per-shard worker of the sharded
-  /// execution mode (engine/sharded.h): W independent instances each
-  /// consume the set-partitioned slice of the stream and their covers
-  /// merge through the deterministic t-party protocol. Requires a
-  /// single-run algorithm (no nested multi-run parallelism) whose
-  /// per-shard space stays sublinear in the slice — the two trivial
-  /// brackets that violate one of those stay unshardable.
-  bool shardable = false;
   std::function<std::unique_ptr<StreamingSetCoverAlgorithm>(
       const AlgorithmOptions&)>
       factory;
@@ -82,18 +74,6 @@ std::string SuggestAlgorithmName(const std::string& name);
 /// Shared by the CLI and engine::Execute so every entry point fails the
 /// same helpful way.
 std::string UnknownAlgorithmError(const std::string& name);
-
-/// Names of the algorithms whose registry row marks them shardable, in
-/// presentation order.
-std::vector<std::string> ShardableAlgorithmNames();
-
-/// Ready-to-print diagnostic for requesting shards with an algorithm
-/// whose metadata is not shardable: says why it was refused and lists
-/// the shardable names (plus a "did you mean" when the typed name is
-/// close to a shardable one). Shared by the CLI and
-/// engine::ExecuteSharded. Assumes `name` is registered — unknown names
-/// get UnknownAlgorithmError instead.
-std::string NotShardableError(const std::string& name);
 
 }  // namespace setcover
 

@@ -1,48 +1,102 @@
 #include "engine/engine.h"
 
-#include <cstdlib>
+#include <algorithm>
+#include <chrono>
+#include <ctime>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "engine/backend.h"
-#include "engine/backends/common.h"
 #include "run/checkpoint.h"
 #include "stream/edge.h"
+#include "stream/schedule.h"
 
 namespace setcover {
 namespace engine {
 namespace {
 
-using internal::Clock;
-using internal::FinalizeRun;
-using internal::Seconds;
-using internal::StampMeter;
+using Clock = std::chrono::steady_clock;
 
-/// Which backend a config executes on. An explicit BackendSpec::name
-/// wins outright. Otherwise multi-worker configs (backend.workers > 1
-/// or the legacy RunConfig::shards > 1) pick the sharded substrate,
-/// and single-worker configs pick inprocess — unless SETCOVER_BACKEND
-/// forces an *eligible* run onto a named substrate. Eligibility keeps
-/// env forcing semantics-preserving: configs the multi-worker backends
-/// would reject (caller-owned algorithm instances, non-shardable or
-/// unknown algorithms, windowed schedules) silently stay inprocess, so
-/// the ctest matrix can export one variable across whole suites.
-std::string ResolveBackendName(const RunConfig& config) {
-  if (!config.backend.name.empty()) return config.backend.name;
-  if (config.backend.workers > 1 || config.shards > 1) return "sharded";
-  const char* forced = std::getenv("SETCOVER_BACKEND");
-  if (forced != nullptr && *forced != '\0' &&
-      std::string_view(forced) != "inprocess" &&
-      config.algorithm_instance == nullptr && config.shards <= 1 &&
-      config.source.schedule.window == 0) {
-    const AlgorithmInfo* info = FindAlgorithm(config.algorithm);
-    if (info != nullptr && info->shardable) return forced;
+double Seconds(Clock::time_point since) {
+  return std::chrono::duration<double>(Clock::now() - since).count();
+}
+
+/// Records the algorithm's space accounting into the report — called on
+/// every exit path so even killed or failed runs report their meter.
+void StampMeter(RunReport* report,
+                const StreamingSetCoverAlgorithm& algorithm) {
+  report->peak_words = algorithm.Meter().PeakWords();
+  report->current_words = algorithm.Meter().CurrentWords();
+  report->meter_breakdown = algorithm.Meter().BreakdownString();
+}
+
+/// Finalize + bookkeeping shared by every completing path.
+void FinalizeRun(RunReport* report, StreamingSetCoverAlgorithm& algorithm) {
+  const auto start = Clock::now();
+  report->solution = algorithm.Finalize();
+  report->stages.finalize_seconds = Seconds(start);
+  const std::vector<SetId>& certificate = report->solution.certificate;
+  report->uncovered_elements =
+      std::count(certificate.begin(), certificate.end(), kNoSet);
+  report->completed = true;
+  StampMeter(report, algorithm);
+}
+
+/// The in-memory fast path: RunStream's exact loop (same batch
+/// boundaries, same debug-build first-batch equivalence spot-check)
+/// with the engine's counters layered on. Bit-identical to RunStream —
+/// pinned by engine_equivalence_test.
+void DriveInMemory(RunReport* report, StreamingSetCoverAlgorithm& algorithm,
+                   const EdgeStream& stream, size_t batch_edges) {
+  const auto start = Clock::now();
+  algorithm.Begin(stream.meta);
+  std::span<const Edge> edges(stream.edges);
+  for (size_t offset = 0; offset < edges.size(); offset += batch_edges) {
+    std::span<const Edge> batch =
+        edges.subspan(offset, std::min(batch_edges, edges.size() - offset));
+#ifndef NDEBUG
+    if (offset == 0) {
+      // Spot-check the batch/per-edge equivalence contract on the first
+      // batch of every debug-build run; cheap relative to the stream.
+      ProcessBatchCheckedForEquivalence(algorithm, stream.meta, batch);
+      ++report->stages.batches;
+      report->edges_delivered += batch.size();
+      continue;
+    }
+#endif
+    algorithm.ProcessEdgeBatch(batch);
+    ++report->stages.batches;
+    report->edges_delivered += batch.size();
   }
-  return "inprocess";
+  report->stages.stream_seconds = Seconds(start);
+  FinalizeRun(report, algorithm);
+}
+
+/// The file fast path: RunStreamFromFile's exact loop — chunk-aligned,
+/// CRC-verified batches straight off the (possibly prefetching, possibly
+/// zero-copy mmap) reader. Damage semantics match the supervised loop:
+/// a checksum-failed chunk counts as one corrupt record and degrades
+/// the run; early EOF degrades it.
+void DriveFile(RunReport* report, StreamingSetCoverAlgorithm& algorithm,
+               BatchEdgeReader& reader) {
+  const auto start = Clock::now();
+  algorithm.Begin(reader.Meta());
+  for (std::span<const Edge> batch = reader.NextBatch(); !batch.empty();
+       batch = reader.NextBatch()) {
+    algorithm.ProcessEdgeBatch(batch);
+    ++report->stages.batches;
+    report->edges_delivered += batch.size();
+  }
+  report->stages.stream_seconds = Seconds(start);
+  if (reader.ChecksumFailed()) {
+    ++report->corrupt_records_skipped;
+    ++report->faults_survived;
+  }
+  if (reader.Truncated() || reader.ChecksumFailed()) report->degraded = true;
+  FinalizeRun(report, algorithm);
 }
 
 }  // namespace
@@ -54,17 +108,13 @@ RunReport Drive(const DriveOptions& options,
   const StreamMetadata& meta = source.Meta();
   const auto setup_start = Clock::now();
 
-  if (options.resume || options.resume_from != nullptr) {
-    std::optional<Checkpoint> checkpoint;
-    if (options.resume_from != nullptr) {
-      checkpoint = *options.resume_from;
-    } else {
-      std::string error;
-      checkpoint = LoadCheckpoint(options.checkpoint_path, &error);
-      if (!checkpoint) {
-        report.error = error;
-        return report;
-      }
+  if (options.resume) {
+    std::string error;
+    std::optional<Checkpoint> checkpoint =
+        LoadCheckpoint(options.checkpoint_path, &error);
+    if (!checkpoint) {
+      report.error = error;
+      return report;
     }
     if (checkpoint->algorithm_name != algorithm.Name()) {
       report.error = "checkpoint was written by algorithm '" +
@@ -99,8 +149,7 @@ RunReport Drive(const DriveOptions& options,
   report.stages.setup_seconds = Seconds(setup_start);
 
   const bool checkpointing =
-      (!options.checkpoint_path.empty() || options.checkpoint_sink) &&
-      options.checkpoint_every > 0;
+      !options.checkpoint_path.empty() && options.checkpoint_every > 0;
   const size_t batch_edges =
       options.batch_edges > 0 ? options.batch_edges : kIngestBatchEdges;
   uint64_t delivered_this_run = 0;
@@ -176,11 +225,7 @@ RunReport Drive(const DriveOptions& options,
         checkpoint.faults_survived = report.faults_survived;
         checkpoint.state_words = encoder.Words();
         std::string error;
-        const bool saved =
-            options.checkpoint_sink
-                ? options.checkpoint_sink(checkpoint, &error)
-                : SaveCheckpoint(checkpoint, options.checkpoint_path, &error);
-        if (!saved) {
+        if (!SaveCheckpoint(checkpoint, options.checkpoint_path, &error)) {
           report.error = error;
           StampMeter(&report, algorithm);
           return report;
@@ -200,15 +245,118 @@ RunReport Drive(const DriveOptions& options,
 }
 
 RunReport Execute(const RunConfig& config) {
-  std::string error;
-  std::unique_ptr<Backend> backend =
-      MakeBackend(ResolveBackendName(config), &error);
-  if (backend == nullptr) {
-    RunReport report;
-    report.error = error;
+  RunReport report;
+  const auto total_start = Clock::now();
+  const std::clock_t cpu_start = std::clock();
+  const auto setup_start = Clock::now();
+
+  // Resolve the algorithm: a caller-provided instance, or the
+  // self-describing registry by name.
+  std::unique_ptr<StreamingSetCoverAlgorithm> owned;
+  StreamingSetCoverAlgorithm* algorithm = config.algorithm_instance;
+  if (algorithm == nullptr) {
+    owned = MakeAlgorithmByName(config.algorithm, config.options);
+    if (owned == nullptr) {
+      report.error = UnknownAlgorithmError(config.algorithm);
+      return report;
+    }
+    algorithm = owned.get();
+  }
+  report.algorithm_name = algorithm->Name();
+
+  const SourceSpec& spec = config.source;
+  if ((spec.stream != nullptr) == !spec.path.empty()) {
+    report.error = spec.stream == nullptr
+                       ? "run config has no source (set SourceSpec::stream "
+                         "or SourceSpec::path)"
+                       : "run config sets both an in-memory stream and a "
+                         "file path; pick one";
     return report;
   }
-  return backend->Run(config);
+
+  const ScheduleSpec& schedule = spec.schedule;
+  if (!schedule.Validate(&report.error)) return report;
+
+  const bool checkpointing = !config.checkpoint.path.empty() &&
+                             config.checkpoint.every > 0;
+  if (schedule.window > 0 && (checkpointing || config.checkpoint.resume)) {
+    report.error = "windowed schedules are not checkpointable (the window "
+                   "contents are not position-addressable)";
+    return report;
+  }
+  const bool supervised = config.faults.has_value() ||
+                          config.stop_after != 0 ||
+                          config.checkpoint.resume || checkpointing ||
+                          config.batch_edges != kIngestBatchEdges ||
+                          !schedule.Trivial();
+
+  if (!supervised) {
+    // Fast paths: clean source, no mid-run observation points — the
+    // legacy RunStream / RunStreamFromFile loops, verbatim.
+    if (spec.stream != nullptr) {
+      report.stages.setup_seconds = Seconds(setup_start);
+      DriveInMemory(&report, *algorithm, *spec.stream, config.batch_edges);
+    } else {
+      std::string error;
+      auto reader = OpenBatchEdgeReader(spec.path, spec.read_options, &error);
+      if (reader == nullptr) {
+        report.error = error;
+        return report;
+      }
+      report.stages.setup_seconds = Seconds(setup_start);
+      DriveFile(&report, *algorithm, *reader);
+    }
+  } else {
+    // Supervised path: assemble source -> schedule -> fault injector
+    // -> Drive. The schedule sits under the injector so fault decisions
+    // key on scheduled positions and the whole stack stays
+    // deterministic (and, for pass schedules, checkpointable).
+    std::unique_ptr<EdgeSource> file_source;
+    std::optional<VectorEdgeSource> vector_source;
+    EdgeSource* source = nullptr;
+    if (spec.stream != nullptr) {
+      source = &vector_source.emplace(*spec.stream);
+    } else {
+      std::string error;
+      file_source =
+          StreamFileSource::Open(spec.path, spec.read_options, &error);
+      if (file_source == nullptr) {
+        report.error = error;
+        return report;
+      }
+      source = file_source.get();
+    }
+    std::optional<ScheduledSource> scheduled;
+    if (!schedule.Trivial()) source = &scheduled.emplace(source, schedule);
+    std::optional<FaultInjector> injector;
+    if (config.faults.has_value())
+      source = &injector.emplace(source, *config.faults);
+
+    DriveOptions options;
+    options.checkpoint_path = config.checkpoint.path;
+    options.checkpoint_every = config.checkpoint.every;
+    options.resume = config.checkpoint.resume;
+    options.backoff = config.backoff;
+    options.sleeper = config.sleeper;
+    options.stop_after = config.stop_after;
+    options.batch_edges = config.batch_edges;
+    const double setup_seconds = Seconds(setup_start);
+    report = Drive(options, *algorithm, *source);
+    report.stages.setup_seconds += setup_seconds;
+  }
+
+  // Validation stage (only meaningful for completed runs).
+  if (config.validate != nullptr && report.completed) {
+    const auto validate_start = Clock::now();
+    report.validation = ValidateSolution(*config.validate, report.solution);
+    report.validated = true;
+    report.stages.validate_seconds = Seconds(validate_start);
+  }
+
+  report.stages.total_seconds = Seconds(total_start);
+  report.stages.cpu_seconds =
+      double(std::clock() - cpu_start) / double(CLOCKS_PER_SEC);
+  return report;
 }
 
 }  // namespace engine

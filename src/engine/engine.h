@@ -9,7 +9,6 @@
 
 #include "core/registry.h"
 #include "core/streaming_algorithm.h"
-#include "engine/backend.h"
 #include "instance/validator.h"
 #include "run/checkpoint.h"
 #include "stream/edge_source.h"
@@ -30,9 +29,8 @@ namespace engine {
 ///   source -> fault injector -> batcher -> algorithm -> finalize
 ///          -> validate
 ///
-/// returning one unified RunReport. RunSupervisor, BestOfRuns, the
-/// bench harnesses, RunStreamFromFile, and the CLI are all thin clients
-/// of this seam (docs/architecture.md has the layer diagram); the only
+/// returning one unified RunReport. BestOfRuns, the bench harnesses,
+/// RunStreamFromFile, and the CLI are all thin clients of this seam (docs/architecture.md has the layer diagram); the only
 /// drive loop outside src/engine/ is the header-inline RunStream in
 /// core/streaming_algorithm.h, kept as the reference primitive that
 /// tests/engine_equivalence_test.cc pins the engine against.
@@ -40,7 +38,7 @@ namespace engine {
 /// Equivalence contract: for the same (algorithm, seed, edges), every
 /// engine path produces bit-identical covers, certificates, meter
 /// readings, and checkpoint bytes to the legacy RunStream /
-/// RunSupervisor / RunStreamFromFile loops it replaced — enforced by
+/// RunStreamFromFile loops and the per-edge supervisor it replaced — enforced by
 /// tests/engine_equivalence_test.cc for every registered algorithm.
 
 /// Where a run's edges come from. Exactly one of `stream` (an in-memory
@@ -99,11 +97,9 @@ struct StageStats {
   uint64_t batches = 0;           // ProcessEdgeBatch calls issued
 };
 
-/// Everything a caller learns from an engine run — a superset of the
-/// old run/run_supervisor.h report (same field names, so supervised-run
-/// clients read it unchanged) extended with per-stage observability,
-/// the resolved algorithm identity, meter totals, and the validation
-/// verdict.
+/// Everything a caller learns from an engine run: the solution, the
+/// supervision counters, per-stage observability, the resolved
+/// algorithm identity, meter totals, and the validation verdict.
 struct RunReport {
   /// Valid only when `completed`.
   CoverSolution solution;
@@ -146,46 +142,13 @@ struct RunReport {
   /// Per-stage counters and timings.
   StageStats stages;
 
-  /// Sharded-mode accounting (ExecuteSharded / shards > 1); shards == 0
-  /// means the run was unsharded and the struct is untouched.
-  struct ShardStats {
-    uint32_t shards = 0;
-
-    /// Threshold τ the merge ran threshold-greedy at (√(n·W) unless
-    /// overridden).
-    uint32_t merge_threshold = 0;
-
-    /// Largest per-party message of the merge protocol, in words,
-    /// against the Õ(n) bound it must stay under (paper §3: coverage
-    /// bitmap + first-seen table + threshold picks, where each pick
-    /// covers ≥ τ new elements so at most ⌈n/τ⌉ fit in one message).
-    uint64_t max_message_words = 0;
-    uint64_t message_words_bound = 0;
-
-    /// Merge outcome split: candidate sets taken by threshold-greedy
-    /// vs. added by the final patching scan.
-    uint64_t threshold_sets = 0;
-    uint64_t patched_sets = 0;
-
-    /// Wall-clock of the merge stage alone.
-    double merge_seconds = 0.0;
-
-    /// Per-shard observability, indexed by shard (size == shards).
-    std::vector<uint64_t> shard_edges;
-    std::vector<uint64_t> shard_cover_sizes;
-    std::vector<size_t> shard_peak_words;
-    std::vector<double> shard_stream_seconds;
-  };
-  ShardStats sharded;
-
   /// Certificate validation verdict; meaningful only when `validated`
   /// (RunConfig::validate was set and the run completed).
   bool validated = false;
   ValidationResult validation;
 };
 
-/// Knobs of the supervised drive loop (the old SupervisorOptions, now
-/// owned by the engine; run/run_supervisor.h aliases this type).
+/// Knobs of the supervised drive loop.
 struct DriveOptions {
   /// Sidecar checkpoint file; empty disables checkpointing.
   std::string checkpoint_path;
@@ -197,18 +160,6 @@ struct DriveOptions {
 
   /// Resume from `checkpoint_path` instead of starting fresh.
   bool resume = false;
-
-  /// Resume from this already-loaded checkpoint instead of reading
-  /// `checkpoint_path` (which may then be empty). The sharded runner
-  /// uses this to hand each shard its slot out of the aggregate "SCSH"
-  /// file. Not owned; must outlive the call. Implies `resume`.
-  const Checkpoint* resume_from = nullptr;
-
-  /// When set, replaces SaveCheckpoint as the destination of periodic
-  /// checkpoints — the sharded runner installs a sink that folds the
-  /// shard's snapshot into the aggregate file. Return false (with
-  /// *error) to fail the run like a checkpoint write failure.
-  std::function<bool(const Checkpoint&, std::string*)> checkpoint_sink;
 
   /// Retry budget for transient read faults.
   BackoffPolicy backoff;
@@ -234,7 +185,7 @@ struct DriveOptions {
 /// checkpoints, crash resume with bit-identical continuation, bounded
 /// retries on transient faults, skip-and-count on corrupt records, and
 /// graceful degradation to a certified partial cover when the stream
-/// cannot be fully consumed. RunSupervisor::Run is an alias for this.
+/// cannot be fully consumed.
 RunReport Drive(const DriveOptions& options,
                 StreamingSetCoverAlgorithm& algorithm, EdgeSource& source);
 
@@ -276,21 +227,6 @@ struct RunConfig {
   /// instance (legal cover + legal certificate) and the verdict lands
   /// in RunReport::validation.
   const SetCoverInstance* validate = nullptr;
-
-  /// Shard fan-out: 0 or 1 runs the single pipeline above; W > 1
-  /// dispatches to the sharded backend (engine/sharded.h) with W
-  /// set-modulo shards — W worker pipelines merged through the
-  /// deterministic t-party protocol. Requires a shardable registry
-  /// `algorithm` name (not `algorithm_instance`). Kept for
-  /// compatibility; `backend.workers` is the spelled-out form.
-  uint32_t shards = 0;
-
-  /// Which execution substrate runs this config (engine/backend.h).
-  /// An empty `backend.name` auto-selects: sharded when the run asks
-  /// for more than one worker, inprocess otherwise — unless the
-  /// SETCOVER_BACKEND environment variable forces an eligible run onto
-  /// a named substrate (the ctest backend-matrix hook).
-  BackendSpec backend;
 };
 
 /// Assembles the pipeline described by `config`, runs it, and returns

@@ -108,38 +108,8 @@ struct SessionStats {
   size_t current_words = 0;
 };
 
-/// The push-side face of the backend seam: what the session server
-/// holds per open session, regardless of which execution substrate is
-/// behind it. Session (one in-process pipeline) and ShardedSession
-/// (engine/sharded_session.h — W set-partitioned sub-sessions merged
-/// through the deterministic t-party protocol) both implement it, so
-/// one daemon serves single-session and sharded runs through the same
-/// code path (server/session_manager.cc dispatches on OpenBody::workers).
-class SessionHandle {
- public:
-  virtual ~SessionHandle() = default;
-
-  /// See Session::Ingest for the exactly-once contract.
-  virtual IngestResult Ingest(uint64_t sequence, std::span<const Edge> edges,
-                              std::string* error) = 0;
-
-  /// See Session::WriteCheckpoint.
-  virtual bool WriteCheckpoint(std::string* error) = 0;
-
-  /// See Session::Finalize. Idempotent.
-  virtual const RunReport& Finalize() = 0;
-
-  /// Point-in-time counters; cheap, no algorithm work.
-  virtual SessionStats Stats() const = 0;
-
-  virtual uint64_t LastSequence() const = 0;
-  virtual bool Resumed() const = 0;
-  virtual bool Finalized() const = 0;
-  virtual const StreamMetadata& Meta() const = 0;
-  virtual const std::string& AlgorithmName() const = 0;
-};
-
-class Session final : public SessionHandle {
+/// One push-style run; see the contract above SessionConfig.
+class Session {
  public:
   /// Opens a session. With `resume` set and a loadable checkpoint at
   /// config.checkpoint_path, restores algorithm state, position,
@@ -157,29 +127,24 @@ class Session final : public SessionHandle {
   /// unless the failure was a checkpoint write after a successful
   /// apply (then last_sequence reflects the applied batch).
   IngestResult Ingest(uint64_t sequence, std::span<const Edge> edges,
-                      std::string* error) override;
+                      std::string* error);
 
   /// Writes a checkpoint now (requires a configured path). True on
   /// success; also true (without writing) for volatile sessions so
   /// callers can checkpoint-all unconditionally on drain.
-  bool WriteCheckpoint(std::string* error) override;
+  bool WriteCheckpoint(std::string* error);
 
   /// Ends the stream: finalizes the algorithm into a RunReport (cover,
   /// certificate, meter, fault counters, stage timings). Idempotent —
   /// repeated calls (a client retrying a lost Finalize reply) return
   /// the cached report without re-finalizing.
-  const RunReport& Finalize() override;
+  const RunReport& Finalize();
 
   /// Point-in-time counters; cheap, no algorithm work.
-  SessionStats Stats() const override;
+  SessionStats Stats() const;
 
-  uint64_t LastSequence() const override { return last_sequence_; }
-  bool Resumed() const override { return resumed_; }
-  bool Finalized() const override { return final_report_.has_value(); }
-  const StreamMetadata& Meta() const override { return config_.meta; }
-  const std::string& AlgorithmName() const override {
-    return algorithm_name_;
-  }
+  uint64_t LastSequence() const { return last_sequence_; }
+  bool Resumed() const { return resumed_; }
 
  private:
   Session() = default;

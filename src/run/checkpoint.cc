@@ -13,9 +13,6 @@ constexpr uint32_t kMagic = 0x504B4353u;  // "SCKP" little-endian
 // v1 files load with session_sequence = 0.
 constexpr uint32_t kVersion = 2;
 
-constexpr uint32_t kShardedMagic = 0x48534353u;  // "SCSH" little-endian
-constexpr uint32_t kShardedVersion = 1;
-
 void AppendU32(std::vector<uint8_t>* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) out->push_back(uint8_t(v >> (8 * i)));
 }
@@ -65,47 +62,6 @@ struct ByteReader {
   }
 };
 
-/// The checkpoint body — everything between the header and the CRC of
-/// the single-run format. The sharded aggregate embeds one body per
-/// present slot, byte-identical to the single-run layout.
-void AppendCheckpointBody(std::vector<uint8_t>* bytes,
-                          const Checkpoint& checkpoint) {
-  AppendU32(bytes, uint32_t(checkpoint.algorithm_name.size()));
-  for (char c : checkpoint.algorithm_name) bytes->push_back(uint8_t(c));
-  AppendU32(bytes, checkpoint.meta.num_sets);
-  AppendU32(bytes, checkpoint.meta.num_elements);
-  AppendU64(bytes, checkpoint.meta.stream_length);
-  AppendU64(bytes, checkpoint.stream_position);
-  AppendU64(bytes, checkpoint.edges_delivered);
-  AppendU64(bytes, checkpoint.transient_retries);
-  AppendU64(bytes, checkpoint.corrupt_skipped);
-  AppendU64(bytes, checkpoint.faults_survived);
-  AppendU64(bytes, checkpoint.session_sequence);
-  AppendU64(bytes, checkpoint.state_words.size());
-  for (uint64_t w : checkpoint.state_words) AppendU64(bytes, w);
-}
-
-bool ParseCheckpointBody(ByteReader* in, uint32_t version,
-                         Checkpoint* checkpoint) {
-  if (!in->String(&checkpoint->algorithm_name)) return false;
-  checkpoint->meta.num_sets = in->U32();
-  checkpoint->meta.num_elements = in->U32();
-  checkpoint->meta.stream_length = in->U64();
-  checkpoint->stream_position = in->U64();
-  checkpoint->edges_delivered = in->U64();
-  checkpoint->transient_retries = in->U64();
-  checkpoint->corrupt_skipped = in->U64();
-  checkpoint->faults_survived = in->U64();
-  checkpoint->session_sequence = version >= 2 ? in->U64() : 0;
-  const uint64_t state_len = in->U64();
-  if (!in->ok || state_len > (in->size - in->pos) / 8) return false;
-  checkpoint->state_words.clear();
-  checkpoint->state_words.reserve(state_len);
-  for (uint64_t i = 0; i < state_len; ++i)
-    checkpoint->state_words.push_back(in->U64());
-  return in->ok;
-}
-
 /// Appends the CRC and writes `bytes` to `path` via tmp + atomic rename.
 bool WriteAtomically(std::vector<uint8_t>* bytes, const std::string& path,
                      std::string* error) {
@@ -129,10 +85,9 @@ bool WriteAtomically(std::vector<uint8_t>* bytes, const std::string& path,
   return true;
 }
 
-/// Loads `path`, verifies header magic/version bounds and the trailing
-/// CRC, and leaves a ByteReader positioned after the version field.
-bool LoadVerified(const std::string& path, uint32_t magic,
-                  uint32_t max_version, std::vector<uint8_t>* bytes,
+/// Loads `path` and verifies header magic/version bounds and the
+/// trailing CRC.
+bool LoadVerified(const std::string& path, std::vector<uint8_t>* bytes,
                   uint32_t* version, std::string* error) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
@@ -148,7 +103,7 @@ bool LoadVerified(const std::string& path, uint32_t magic,
   ByteReader in{bytes->data(), bytes->size()};
   const uint32_t file_magic = in.U32();
   *version = in.U32();
-  if (file_magic != magic || *version < 1 || *version > max_version) {
+  if (file_magic != kMagic || *version < 1 || *version > kVersion) {
     if (error != nullptr) *error = path + ": not a checkpoint file";
     return false;
   }
@@ -173,7 +128,19 @@ bool SaveCheckpoint(const Checkpoint& checkpoint, const std::string& path,
   std::vector<uint8_t> bytes;
   AppendU32(&bytes, kMagic);
   AppendU32(&bytes, kVersion);
-  AppendCheckpointBody(&bytes, checkpoint);
+  AppendU32(&bytes, uint32_t(checkpoint.algorithm_name.size()));
+  for (char c : checkpoint.algorithm_name) bytes.push_back(uint8_t(c));
+  AppendU32(&bytes, checkpoint.meta.num_sets);
+  AppendU32(&bytes, checkpoint.meta.num_elements);
+  AppendU64(&bytes, checkpoint.meta.stream_length);
+  AppendU64(&bytes, checkpoint.stream_position);
+  AppendU64(&bytes, checkpoint.edges_delivered);
+  AppendU64(&bytes, checkpoint.transient_retries);
+  AppendU64(&bytes, checkpoint.corrupt_skipped);
+  AppendU64(&bytes, checkpoint.faults_survived);
+  AppendU64(&bytes, checkpoint.session_sequence);
+  AppendU64(&bytes, checkpoint.state_words.size());
+  for (uint64_t w : checkpoint.state_words) AppendU64(&bytes, w);
   return WriteAtomically(&bytes, path, error);
 }
 
@@ -181,95 +148,32 @@ std::optional<Checkpoint> LoadCheckpoint(const std::string& path,
                                          std::string* error) {
   std::vector<uint8_t> bytes;
   uint32_t version = 0;
-  if (!LoadVerified(path, kMagic, kVersion, &bytes, &version, error)) {
+  if (!LoadVerified(path, &bytes, &version, error)) {
     return std::nullopt;
   }
+  auto malformed = [&] {
+    if (error != nullptr) *error = path + ": malformed checkpoint";
+    return std::nullopt;
+  };
   ByteReader in{bytes.data(), bytes.size(), /*pos=*/8};
   Checkpoint checkpoint;
-  if (!ParseCheckpointBody(&in, version, &checkpoint) ||
-      in.pos + 4 != bytes.size()) {
-    if (error != nullptr) *error = path + ": malformed checkpoint";
-    return std::nullopt;
-  }
+  if (!in.String(&checkpoint.algorithm_name)) return malformed();
+  checkpoint.meta.num_sets = in.U32();
+  checkpoint.meta.num_elements = in.U32();
+  checkpoint.meta.stream_length = in.U64();
+  checkpoint.stream_position = in.U64();
+  checkpoint.edges_delivered = in.U64();
+  checkpoint.transient_retries = in.U64();
+  checkpoint.corrupt_skipped = in.U64();
+  checkpoint.faults_survived = in.U64();
+  checkpoint.session_sequence = version >= 2 ? in.U64() : 0;
+  const uint64_t state_len = in.U64();
+  if (!in.ok || state_len > (in.size - in.pos) / 8) return malformed();
+  checkpoint.state_words.reserve(state_len);
+  for (uint64_t i = 0; i < state_len; ++i)
+    checkpoint.state_words.push_back(in.U64());
+  if (!in.ok || in.pos + 4 != bytes.size()) return malformed();
   return checkpoint;
-}
-
-bool SaveShardedCheckpoint(const ShardedCheckpoint& checkpoint,
-                           const std::string& path, std::string* error) {
-  if (checkpoint.shard_states.size() != checkpoint.shards) {
-    if (error != nullptr)
-      *error = "sharded checkpoint has " +
-               std::to_string(checkpoint.shard_states.size()) +
-               " slots for " + std::to_string(checkpoint.shards) + " shards";
-    return false;
-  }
-  std::vector<uint8_t> bytes;
-  AppendU32(&bytes, kShardedMagic);
-  AppendU32(&bytes, kShardedVersion);
-  AppendU32(&bytes, checkpoint.shards);
-  AppendU32(&bytes, uint32_t(checkpoint.partitioner.size()));
-  for (char c : checkpoint.partitioner) bytes.push_back(uint8_t(c));
-  for (const std::optional<Checkpoint>& slot : checkpoint.shard_states) {
-    AppendU32(&bytes, slot.has_value() ? 1 : 0);
-    if (slot.has_value()) AppendCheckpointBody(&bytes, *slot);
-  }
-  return WriteAtomically(&bytes, path, error);
-}
-
-std::optional<ShardedCheckpoint> LoadShardedCheckpoint(
-    const std::string& path, std::string* error) {
-  std::vector<uint8_t> bytes;
-  uint32_t version = 0;
-  if (!LoadVerified(path, kShardedMagic, kShardedVersion, &bytes, &version,
-                    error)) {
-    return std::nullopt;
-  }
-  ByteReader in{bytes.data(), bytes.size(), /*pos=*/8};
-  ShardedCheckpoint checkpoint;
-  checkpoint.shards = in.U32();
-  // Oversized shard counts would try to reserve garbage; anything that
-  // cannot fit present-flags in the remaining bytes is malformed.
-  if (!in.ok || !in.String(&checkpoint.partitioner) ||
-      checkpoint.shards > (in.size - in.pos) / 4) {
-    if (error != nullptr) *error = path + ": malformed checkpoint";
-    return std::nullopt;
-  }
-  checkpoint.shard_states.resize(checkpoint.shards);
-  for (uint32_t w = 0; w < checkpoint.shards; ++w) {
-    const uint32_t present = in.U32();
-    if (!in.ok || present > 1) {
-      if (error != nullptr) *error = path + ": malformed checkpoint";
-      return std::nullopt;
-    }
-    if (present == 0) continue;
-    Checkpoint slot;
-    // Slot bodies always use the current single-run layout.
-    if (!ParseCheckpointBody(&in, kVersion, &slot)) {
-      if (error != nullptr) *error = path + ": malformed checkpoint";
-      return std::nullopt;
-    }
-    checkpoint.shard_states[w] = std::move(slot);
-  }
-  if (!in.ok || in.pos + 4 != bytes.size()) {
-    if (error != nullptr) *error = path + ": malformed checkpoint";
-    return std::nullopt;
-  }
-  return checkpoint;
-}
-
-void EncodeCheckpointBody(const Checkpoint& checkpoint,
-                          std::vector<uint8_t>* out) {
-  AppendCheckpointBody(out, checkpoint);
-}
-
-bool DecodeCheckpointBody(const uint8_t* data, size_t size, Checkpoint* out,
-                          std::string* error) {
-  ByteReader in{data, size};
-  if (!ParseCheckpointBody(&in, kVersion, out) || in.pos != size) {
-    if (error != nullptr) *error = "malformed checkpoint body";
-    return false;
-  }
-  return true;
 }
 
 }  // namespace setcover

@@ -71,59 +71,6 @@ bool SaveCheckpoint(const Checkpoint& checkpoint, const std::string& path,
 std::optional<Checkpoint> LoadCheckpoint(const std::string& path,
                                          std::string* error);
 
-/// One recoverable snapshot of a *sharded* run (engine/sharded.h): the
-/// W per-shard cursors + algorithm states aggregated into a single
-/// file, so kill-and-resume of a W-way run needs exactly one sidecar —
-/// same contract as the single-run Checkpoint, W slots wide.
-///
-/// Slots are independent: a shard that never reached its checkpoint
-/// cadence before the crash has no entry (`shard_states[w] ==
-/// nullopt`) and restarts its slice from the beginning; every other
-/// shard resumes from its own cursor. Because each shard's execution
-/// is a pure function of its slice suffix + decoded state, any
-/// combination of persisted slots resumes bit-identical to the unkilled
-/// run.
-///
-/// On-disk layout (little-endian), file magic "SCSH", version 1:
-///   magic, version u32
-///   shards u32
-///   partitioner_len u32, partitioner name bytes
-///   per shard: present u32 (0/1); when present, the slot's Checkpoint
-///     in exactly the byte layout of the single-run format's body
-///     (name through state words)
-///   crc u32 — CRC-32 of every byte after the magic
-///
-/// SaveShardedCheckpoint stages into `path + ".tmp"` and atomically
-/// renames; LoadShardedCheckpoint CRC-verifies and rejects damage.
-struct ShardedCheckpoint {
-  uint32_t shards = 0;
-  /// ShardPartitioner::name the run was partitioned with; resuming
-  /// under a different partitioner is refused (the cursors would replay
-  /// the wrong slices).
-  std::string partitioner;
-  std::vector<std::optional<Checkpoint>> shard_states;  // size == shards
-};
-
-bool SaveShardedCheckpoint(const ShardedCheckpoint& checkpoint,
-                           const std::string& path, std::string* error);
-
-std::optional<ShardedCheckpoint> LoadShardedCheckpoint(
-    const std::string& path, std::string* error);
-
-/// Serializes just the checkpoint *body* (the byte layout between the
-/// single-run header and CRC — name through state words) without file
-/// framing. This is the unit SCSH slots embed and the forked execution
-/// backend ships over its result ring: a worker process encodes its
-/// snapshot once and the parent folds the identical bytes into the
-/// aggregate sidecar.
-void EncodeCheckpointBody(const Checkpoint& checkpoint,
-                          std::vector<uint8_t>* out);
-
-/// Parses a body produced by EncodeCheckpointBody. The body must span
-/// exactly [data, data + size); trailing bytes are rejected.
-bool DecodeCheckpointBody(const uint8_t* data, size_t size, Checkpoint* out,
-                          std::string* error);
-
 }  // namespace setcover
 
 #endif  // SETCOVER_RUN_CHECKPOINT_H_

@@ -186,7 +186,6 @@ void EncodeMessage(const Message& message, std::vector<uint8_t>* out_ptr) {
       PutU32(&out, message.open.meta.num_elements);
       PutU64(&out, message.open.meta.stream_length);
       PutU64(&out, message.open.checkpoint_every);
-      PutU32(&out, message.open.workers);
       PutU8(&out, message.open.faults.has_value() ? 1 : 0);
       if (message.open.faults.has_value()) {
         const FaultSchedule& faults = *message.open.faults;
@@ -299,7 +298,6 @@ std::optional<Message> DecodeMessage(const std::vector<uint8_t>& payload,
       message.open.meta.num_elements = in.U32();
       message.open.meta.stream_length = in.U64();
       message.open.checkpoint_every = in.U64();
-      message.open.workers = in.U32();
       if (in.U8() != 0) {
         FaultSchedule faults;
         faults.seed = in.U64();

@@ -5,7 +5,8 @@
 // RunStream reference primitive, and a hand-rolled per-edge supervised
 // driver for checkpoint bytes), across in-memory adversarial/random
 // sources and stream files (v2 sync, v3 + prefetch), including
-// kill-and-resume through the engine.
+// kill-and-resume through the engine — plus the stream schedules
+// (multi-pass and sliding-window) layered over those sources.
 
 #include <cstdio>
 #include <fstream>
@@ -41,6 +42,39 @@ Fixture MakeFixture(uint64_t seed, StreamOrder order) {
   Fixture fixture{GenerateUniformRandom(p, rng), {}};
   fixture.stream = OrderedStream(fixture.instance, order, rng);
   return fixture;
+}
+
+/// Planted fixture for the schedule tests: known OPT, decoy sets, a few
+/// thousand edges.
+Fixture MakePlantedFixture(uint64_t seed) {
+  Rng rng(seed);
+  PlantedCoverParams p;
+  p.num_elements = 120;
+  p.num_sets = 600;
+  p.planted_cover_size = 6;
+  Fixture fixture{GeneratePlantedCover(p, rng), {}};
+  fixture.stream = RandomOrderStream(fixture.instance, rng);
+  return fixture;
+}
+
+engine::RunConfig InMemoryConfig(const std::string& algorithm,
+                                 const EdgeStream& stream) {
+  engine::RunConfig config;
+  config.algorithm = algorithm;
+  config.options.seed = 21;
+  config.source = engine::SourceSpec::InMemory(stream);
+  return config;
+}
+
+void ExpectSameSolution(const engine::RunReport& actual,
+                        const engine::RunReport& expected,
+                        const std::string& context) {
+  EXPECT_EQ(actual.solution.cover, expected.solution.cover) << context;
+  EXPECT_EQ(actual.solution.certificate, expected.solution.certificate)
+      << context;
+  EXPECT_EQ(actual.edges_delivered, expected.edges_delivered) << context;
+  EXPECT_EQ(actual.uncovered_elements, expected.uncovered_elements)
+      << context;
 }
 
 std::string TempPath(const std::string& tag) {
@@ -289,6 +323,28 @@ TEST_P(EngineSweep, BatchSizeIsObservationallyInvisible) {
   }
 }
 
+// A 2-pass schedule is one pass over the physically doubled stream:
+// same declared metadata (the scheduled source reports one pass's
+// meta), twice the edges.
+TEST_P(EngineSweep, TwoPassScheduleMatchesDoubledStream) {
+  Fixture fixture = MakePlantedFixture(421);
+  EdgeStream doubled = fixture.stream;
+  doubled.edges.insert(doubled.edges.end(), fixture.stream.edges.begin(),
+                       fixture.stream.edges.end());
+  engine::RunReport expected =
+      engine::Execute(InMemoryConfig(GetParam(), doubled));
+  ASSERT_TRUE(expected.completed) << expected.error;
+
+  engine::RunConfig config = InMemoryConfig(GetParam(), fixture.stream);
+  config.source.schedule.passes = 2;
+  engine::RunReport report = engine::Execute(config);
+  ASSERT_TRUE(report.completed) << GetParam() << ": " << report.error;
+  EXPECT_EQ(report.solution.cover, expected.solution.cover) << GetParam();
+  EXPECT_EQ(report.solution.certificate, expected.solution.certificate)
+      << GetParam();
+  EXPECT_EQ(report.edges_delivered, 2 * fixture.stream.size()) << GetParam();
+}
+
 std::string TestName(const testing::TestParamInfo<std::string>& info) {
   std::string name = info.param;
   for (char& c : name)
@@ -350,6 +406,86 @@ TEST(EngineTest, MultiChunkFileKillAndResume) {
 
   std::remove(file_path.c_str());
   std::remove(ckpt_path.c_str());
+}
+
+// A 2-pass schedule over a v3 FILE resumes mid-pass-2: scheduled
+// positions (pass * N + record) are the checkpoint coordinate, so
+// kill-and-resume composes with multi-pass runs.
+TEST(EngineTest, TwoPassFileScheduleKillAndResume) {
+  Fixture fixture = MakePlantedFixture(431);
+  const std::string path = TempPath("twopass.scs3");
+  const std::string ckpt = TempPath("twopass.sckp");
+  std::string error;
+  ASSERT_TRUE(
+      WriteStreamFile(fixture.stream, path, StreamFormat::kV3, &error))
+      << error;
+
+  engine::RunConfig base = InMemoryConfig("kk", fixture.stream);
+  base.source = engine::SourceSpec::File(path);
+  base.source.schedule.passes = 2;
+  engine::RunReport expected = engine::Execute(base);
+  ASSERT_TRUE(expected.completed) << expected.error;
+  ASSERT_EQ(expected.edges_delivered, 2 * fixture.stream.size());
+
+  engine::RunConfig kill = base;
+  kill.checkpoint.path = ckpt;
+  kill.checkpoint.every = 100;
+  // Deep into pass 2.
+  kill.stop_after = fixture.stream.size() + fixture.stream.size() / 2;
+  engine::RunReport killed = engine::Execute(kill);
+  ASSERT_TRUE(killed.error.empty()) << killed.error;
+  ASSERT_FALSE(killed.completed);
+
+  engine::RunConfig resume = base;
+  resume.checkpoint.path = ckpt;
+  resume.checkpoint.every = 100;
+  resume.checkpoint.resume = true;
+  engine::RunReport resumed = engine::Execute(resume);
+  ASSERT_TRUE(resumed.completed) << resumed.error;
+  EXPECT_GT(resumed.resumed_at, fixture.stream.size());
+  ExpectSameSolution(resumed, expected, "2-pass resume");
+  std::remove(path.c_str());
+  std::remove(ckpt.c_str());
+}
+
+// Sliding-window schedules re-deliver recent records (duplicate-heavy
+// arrival): the run completes, delivers more edges than the stream
+// holds, still produces a valid certified cover of the instance, and
+// is deterministic — the same schedule twice gives the same solution.
+// (The cover may legitimately differ from the plain run: replays
+// change which set claims an element.)
+TEST(EngineTest, WindowScheduleDeliversReplaysAndStaysCorrect) {
+  Fixture fixture = MakePlantedFixture(441);
+  engine::RunConfig config = InMemoryConfig("kk", fixture.stream);
+  config.source.schedule.window = 16;
+  config.source.schedule.replay_every = 64;
+  config.validate = &fixture.instance;
+  engine::RunReport report = engine::Execute(config);
+  ASSERT_TRUE(report.completed) << report.error;
+  EXPECT_GT(report.edges_delivered, fixture.stream.size());
+  EXPECT_TRUE(report.validation.ok) << report.validation.error;
+
+  engine::RunReport again = engine::Execute(config);
+  ASSERT_TRUE(again.completed) << again.error;
+  EXPECT_EQ(report.solution.cover, again.solution.cover);
+  EXPECT_EQ(report.solution.certificate, again.solution.certificate);
+  EXPECT_EQ(report.edges_delivered, again.edges_delivered);
+}
+
+// Windowed schedules are not checkpointable — replayed window contents
+// are not position-addressable — and the engine must say so, not
+// write a checkpoint that cannot resume.
+TEST(EngineTest, WindowScheduleRejectsCheckpointing) {
+  Fixture fixture = MakePlantedFixture(441);
+  engine::RunConfig config = InMemoryConfig("kk", fixture.stream);
+  config.source.schedule.window = 16;
+  config.source.schedule.replay_every = 64;
+  config.checkpoint.path = TempPath("window.sckp");
+  config.checkpoint.every = 10;
+  engine::RunReport report = engine::Execute(config);
+  ASSERT_FALSE(report.completed);
+  EXPECT_NE(report.error.find("not checkpointable"), std::string::npos)
+      << report.error;
 }
 
 TEST(EngineTest, UnknownAlgorithmFailsWithSuggestion) {

@@ -1,6 +1,5 @@
 #include "core/registry.h"
 
-#include <algorithm>
 
 #include <gtest/gtest.h>
 
@@ -76,35 +75,6 @@ TEST(RegistryTest, FactoryNameIsPrefixOfRegistryName) {
   for (const AlgorithmInfo& info : AlgorithmRegistry()) {
     EXPECT_EQ(info.name.rfind(info.factory({})->Name(), 0), 0u) << info.name;
   }
-}
-
-TEST(RegistryTest, ShardableCapabilityMarksExactlyTheShardableRows) {
-  // The two rows that cannot serve as per-shard workers: the parallel
-  // multi-run wrapper and the Theta(N)-buffering comparator.
-  const std::vector<std::string> shardable = ShardableAlgorithmNames();
-  for (const AlgorithmInfo& info : AlgorithmRegistry()) {
-    const bool expected = info.name != "random-order-nguess" &&
-                          info.name != "store-everything-greedy";
-    EXPECT_EQ(info.shardable, expected) << info.name;
-    const bool listed = std::find(shardable.begin(), shardable.end(),
-                                  info.name) != shardable.end();
-    EXPECT_EQ(listed, expected) << info.name;
-  }
-}
-
-TEST(RegistryTest, NotShardableErrorIsActionable) {
-  const std::string message = NotShardableError("store-everything-greedy");
-  EXPECT_NE(message.find("'store-everything-greedy' is not shardable"),
-            std::string::npos)
-      << message;
-  EXPECT_NE(message.find("--shards"), std::string::npos) << message;
-  // Every shardable name is offered as the alternative; the unshardable
-  // wrapper is not.
-  for (const std::string& name : ShardableAlgorithmNames()) {
-    EXPECT_NE(message.find(name), std::string::npos) << name;
-  }
-  EXPECT_EQ(message.find("random-order-nguess"), std::string::npos)
-      << message;
 }
 
 TEST(RegistryTest, SuggestsNearestNameForTypos) {

@@ -524,40 +524,6 @@ TEST(SessionEviction, VolatileSessionsAreNeverEvicted) {
   EXPECT_EQ(harness.manager->OpenSessions(), 1u);
 }
 
-// --- Sharded sessions over the wire (OpenBody::workers) --------------
-
-// One daemon, both substrates: a session opened with workers = 3 runs
-// the W-way sharded pipeline behind the same protocol, and the final
-// cover equals the sharded-backend oracle at the same (seed, W).
-TEST(SessionServer, ShardedSessionMatchesShardedBackendOracle) {
-  Fixture fixture = MakeFixture(237);
-  engine::RunConfig oracle_config;
-  oracle_config.algorithm = "kk";
-  oracle_config.options.seed = 21;
-  oracle_config.source = engine::SourceSpec::InMemory(fixture.stream);
-  oracle_config.backend.name = "sharded";
-  oracle_config.backend.workers = 3;
-  engine::RunReport expected = engine::Execute(oracle_config);
-  ASSERT_TRUE(expected.completed) << expected.error;
-
-  LocalEndpoint endpoint;
-  SessionServer server({}, endpoint.Listen());
-  server.Start();
-
-  SessionClient client(DialerFor(&endpoint), FastClientOptions(31));
-  OpenBody open = MakeOpen("kk", 21, fixture);
-  open.workers = 3;
-  Message reply;
-  std::string error;
-  ASSERT_TRUE(RunSessionToCompletion(&client, 5, open,
-                                     fixture.stream.edges, 64, &reply,
-                                     &error))
-      << error;
-  EXPECT_EQ(reply.cover, ToU32(expected.solution.cover));
-  EXPECT_EQ(reply.certificate, ToU32(expected.solution.certificate));
-  server.DrainAndStop();
-}
-
 }  // namespace
 }  // namespace server
 }  // namespace setcover

@@ -1,14 +1,13 @@
 // Windowed (pipelined) ingest must be observationally invisible:
 // for K ∈ {2, 8, 64}, a windowed session's finalize reply — cover,
 // certificate, and every counter — is field-for-field identical to
-// the strict K=1 session and the engine::Execute oracle, for a
-// shardable and a non-shardable algorithm; a mid-window server
+// the strict K=1 session and the engine::Execute oracle, for every
+// registered algorithm; a mid-window server
 // Abort() + restart resyncs from the durable cursor and still
 // converges bit-identically. scripts/check.sh runs this under ASan
 // and TSan (the per-connection ticket ordering in the server is the
 // contended piece).
 
-#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <string>
@@ -64,22 +63,6 @@ OpenBody MakeOpen(const std::string& algorithm, uint64_t seed,
   return open;
 }
 
-/// One algorithm of each sharding class: windowing must not care.
-std::vector<std::string> AlgorithmsUnderTest() {
-  std::vector<std::string> picked;
-  const std::vector<std::string> shardable = ShardableAlgorithmNames();
-  if (!shardable.empty()) picked.push_back(shardable.front());
-  for (const std::string& name : RegisteredAlgorithmNames()) {
-    if (std::find(shardable.begin(), shardable.end(), name) ==
-        shardable.end()) {
-      picked.push_back(name);
-      break;
-    }
-  }
-  EXPECT_FALSE(picked.empty());
-  return picked;
-}
-
 /// Every finalize-reply field the protocol exposes; "bit-identical"
 /// means all of them, not just the cover.
 void ExpectSameFinalize(const Message& got, const Message& want,
@@ -108,7 +91,7 @@ TEST(WindowedIngest, EveryWindowMatchesStrictAndOracle) {
   server.Start();
 
   uint64_t session_id = 900;
-  for (const std::string& algorithm : AlgorithmsUnderTest()) {
+  for (const std::string& algorithm : RegisteredAlgorithmNames()) {
     engine::RunConfig config;
     config.algorithm = algorithm;
     config.options.seed = 31;
@@ -178,7 +161,7 @@ TEST(WindowedIngest, MidWindowAbortAndRestartResyncsBitIdentical) {
   server_options.state_dir = state_dir;
 
   uint64_t session_id = 950;
-  for (const std::string& algorithm : AlgorithmsUnderTest()) {
+  for (const std::string& algorithm : RegisteredAlgorithmNames()) {
     engine::RunConfig config;
     config.algorithm = algorithm;
     config.options.seed = 33;

@@ -14,19 +14,14 @@
 //
 //   solve     --instance instance.txt [--algorithm kk] [--order random]
 //             [--seed S] [--alpha A] [--runs R] [--threads T]
-//             [--shards W]
 //             Streams the instance through the chosen algorithm and
 //             reports cover size, ratio vs greedy/planted, peak words.
 //             --threads parallelizes the --runs copies (and the guesses
 //             of random-order-nguess); results are bit-identical to
-//             --threads=1. --shards W partitions the stream by set id
-//             across W workers merged through the deterministic t-party
-//             protocol (engine/sharded.h; requires a shardable
-//             algorithm, incompatible with --runs > 1).
+//             --threads=1.
 //
 //   solve-stream --stream stream.bin [--algorithm kk] [--seed S]
-//             [--threads T] [--shards W] [--backend B]
-//             [--passes P] [--window K --replay-every R]
+//             [--threads T] [--passes P] [--window K --replay-every R]
 //             [--no-prefetch] [--no-mmap]
 //             [--timings] [--checkpoint ckpt.sckp]
 //             [--checkpoint-every K] [--resume] [--stop-after K]
@@ -42,22 +37,14 @@
 //             and --no-mmap the zero-copy file mapping; both exist for
 //             benchmarking and debugging — results are bit-identical
 //             with any combination. --timings prints the engine's
-//             per-stage wall/CPU breakdown. --shards W runs the sharded
-//             mode: W workers each stream their set-partitioned slice
-//             of the same (mmap-shared) file and the covers merge via
-//             the deterministic protocol; with --checkpoint the W
-//             cursors aggregate into one sidecar file and --resume
-//             restores all of them. --backend picks the execution
-//             substrate by name (inprocess | sharded | forked; see
-//             `describe`): the same run, bit-identical, on the calling
-//             thread, the thread pool, or W forked worker processes.
-//             --passes P layers a P-pass schedule over the file
-//             (each pass replays the identical record sequence);
+//             per-stage wall/CPU breakdown. --passes P layers a P-pass
+//             schedule over the file (each pass replays the identical
+//             record sequence);
 //             --algorithm=progressive-threshold runs the multi-pass
 //             progressive threshold greedy through the pass schedule.
 //             --window K --replay-every R layers a sliding-window
 //             replay feed (duplicate-heavy arrivals; incompatible with
-//             checkpointing and the forked backend).
+//             checkpointing).
 //
 //   compare   --instance instance.txt [--order random] [--seed S]
 //             Runs *every* registered algorithm on the same stream and
@@ -69,15 +56,14 @@
 //   describe  (also: --describe, list --describe)
 //             Prints the self-describing registry: one row per
 //             algorithm with space class, approximation class,
-//             supported arrival orders, the shardable capability
-//             (whether --shards may fan the algorithm out across the
-//             sharded execution mode), and a one-line description —
-//             followed by the execution-backend registry (one row per
-//             substrate --backend accepts).
+//             supported arrival orders, and a one-line description.
 //
 // All subcommands that run an algorithm are thin clients of
 // engine::Execute (src/engine/engine.h): they describe the run as a
 // RunConfig and print fields of the returned RunReport.
+//
+// A flag the subcommand does not read is an error (exit 2, naming the
+// flag), checked before anything runs.
 //
 // Examples:
 //   setcover_cli generate --family=planted --n=1024 --m=65536 \
@@ -90,14 +76,15 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/multi_pass.h"
 #include "core/multi_run.h"
 #include "core/registry.h"
-#include "engine/backend.h"
 #include "engine/engine.h"
 #include "instance/generators.h"
 #include "instance/io.h"
@@ -134,47 +121,6 @@ std::optional<StreamOrder> ParseOrder(const std::string& name) {
   return std::nullopt;
 }
 
-/// Parses --shards and vets it against the registry's shardable
-/// capability. Returns the shard count, or -1 after printing the
-/// actionable rejection (NotShardableError lists the shardable names).
-int64_t ShardsFlag(const FlagSet& flags, const std::string& algorithm_name) {
-  const int64_t shards = flags.GetInt("shards", 1);
-  if (shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    return -1;
-  }
-  if (shards > 1) {
-    const AlgorithmInfo* info = FindAlgorithm(algorithm_name);
-    if (info != nullptr && !info->shardable) {
-      std::fprintf(stderr, "%s\n", NotShardableError(algorithm_name).c_str());
-      return -1;
-    }
-  }
-  return shards;
-}
-
-/// Prints the sharded-run summary lines shared by solve/solve-stream.
-void PrintShardStats(const engine::RunReport& report) {
-  if (report.sharded.shards <= 1) return;
-  std::printf("shards:      %u (merge tau %u: %llu threshold + %llu "
-              "patched sets, %.3fs)\n",
-              report.sharded.shards, report.sharded.merge_threshold,
-              static_cast<unsigned long long>(report.sharded.threshold_sets),
-              static_cast<unsigned long long>(report.sharded.patched_sets),
-              report.sharded.merge_seconds);
-  std::printf("merge msg:   %llu words (bound %llu)\n",
-              static_cast<unsigned long long>(
-                  report.sharded.max_message_words),
-              static_cast<unsigned long long>(
-                  report.sharded.message_words_bound));
-  std::string edges;
-  for (uint64_t e : report.sharded.shard_edges) {
-    if (!edges.empty()) edges += " ";
-    edges += std::to_string(e);
-  }
-  std::printf("shard edges: %s\n", edges.c_str());
-}
-
 int CmdList() {
   for (const std::string& name : RegisteredAlgorithmNames()) {
     std::printf("%s\n", name.c_str());
@@ -183,24 +129,18 @@ int CmdList() {
 }
 
 int CmdDescribe() {
-  std::printf("%-24s %-22s %-28s %-10s %s\n", "algorithm", "space", "approx",
-              "shardable", "orders");
+  std::printf("%-24s %-22s %-28s %s\n", "algorithm", "space", "approx",
+              "orders");
   for (const AlgorithmInfo& info : AlgorithmRegistry()) {
     std::string orders;
     for (const std::string& order : info.supported_orders) {
       if (!orders.empty()) orders += ",";
       orders += order;
     }
-    std::printf("%-24s %-22s %-28s %-10s %s\n", info.name.c_str(),
+    std::printf("%-24s %-22s %-28s %s\n", info.name.c_str(),
                 info.space_class.c_str(), info.approx_class.c_str(),
-                info.shardable ? "yes" : "no", orders.c_str());
+                orders.c_str());
     std::printf("    %s\n", info.description.c_str());
-  }
-  std::printf("\n%-12s %-12s %s\n", "backend", "multiprocess", "summary");
-  for (const engine::BackendInfo& backend : engine::BackendRegistry()) {
-    std::printf("%-12s %-12s %s\n", backend.name.c_str(),
-                backend.multiprocess ? "yes" : "no",
-                backend.summary.c_str());
   }
   return 0;
 }
@@ -327,43 +267,18 @@ int CmdSolve(const FlagSet& flags) {
   if (FindAlgorithm(algorithm_name) == nullptr) {
     return UnknownAlgorithm(algorithm_name);
   }
-  const int64_t shards = ShardsFlag(flags, algorithm_name);
-  if (shards < 0) return 2;
-  if (shards > 1 && runs > 1) {
-    std::fprintf(stderr,
-                 "--shards is incompatible with --runs > 1 (a sharded run "
-                 "is one logical run)\n");
-    return 2;
-  }
 
   Rng rng(seed ^ 0x9e3779b9);
   EdgeStream stream = OrderedStream(*instance, *order, rng);
 
   size_t total_peak = 0;
-  CoverSolution solution;
-  engine::RunReport sharded_report;
-  if (shards > 1) {
-    engine::RunConfig config;
-    config.algorithm = algorithm_name;
-    config.options = options;
-    config.source = engine::SourceSpec::InMemory(stream);
-    config.shards = static_cast<uint32_t>(shards);
-    sharded_report = engine::Execute(config);
-    if (!sharded_report.error.empty()) {
-      std::fprintf(stderr, "run failed: %s\n", sharded_report.error.c_str());
-      return 1;
-    }
-    solution = sharded_report.solution;
-    total_peak = sharded_report.peak_words;
-  } else {
-    AlgorithmFactory factory = [&](uint64_t run_seed) {
-      AlgorithmOptions run_options = options;
-      run_options.seed = run_seed;
-      return MakeAlgorithmByName(algorithm_name, run_options);
-    };
-    solution = BestOfRuns(factory, std::max(1u, runs), seed, stream,
-                          &total_peak, threads);
-  }
+  AlgorithmFactory factory = [&](uint64_t run_seed) {
+    AlgorithmOptions run_options = options;
+    run_options.seed = run_seed;
+    return MakeAlgorithmByName(algorithm_name, run_options);
+  };
+  CoverSolution solution = BestOfRuns(factory, std::max(1u, runs), seed,
+                                      stream, &total_peak, threads);
 
   ValidationResult check = ValidateSolution(*instance, solution);
   CoverSolution greedy = GreedyCover(*instance);
@@ -380,10 +295,7 @@ int CmdSolve(const FlagSet& flags) {
                 ApproxRatio(solution, instance->PlantedCover().size()));
   }
   std::printf("peak words:  %zu%s\n", total_peak,
-              runs > 1   ? " (summed over runs)"
-              : shards > 1 ? " (summed over shards)"
-                           : "");
-  PrintShardStats(sharded_report);
+              runs > 1 ? " (summed over runs)" : "");
   return check.ok ? 0 : 1;
 }
 
@@ -449,25 +361,13 @@ int CmdSolveStream(const FlagSet& flags) {
     std::fprintf(stderr, "--passes must be >= 1\n");
     return 2;
   }
-  const int64_t shards = multipass ? 1 : ShardsFlag(flags, algorithm_name);
-  if (shards < 0) return 2;
-  if (multipass && (flags.GetInt("shards", 1) > 1 ||
-                    !flags.GetString("backend", "").empty())) {
-    std::fprintf(stderr,
-                 "--algorithm=progressive-threshold runs the in-process "
-                 "pipeline only (no --shards / --backend): pass state "
-                 "spans the whole stream\n");
-    return 2;
-  }
 
   engine::RunConfig config;
   config.algorithm = algorithm_name;
-  config.backend.name = flags.GetString("backend", "");
   config.options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   config.options.alpha = flags.GetDouble("alpha", 0.0);
   config.options.threads =
       static_cast<unsigned>(std::max<int64_t>(1, flags.GetInt("threads", 1)));
-  config.shards = static_cast<uint32_t>(shards);
 
   StreamReadOptions read_options;
   read_options.prefetch = !flags.GetBool("no-prefetch", false);
@@ -527,9 +427,6 @@ int CmdSolveStream(const FlagSet& flags) {
   for (SetId w : report.solution.certificate)
     witnessed += (w != kNoSet) ? 1 : 0;
   std::printf("algorithm:   %s\n", report.algorithm_name.c_str());
-  if (!config.backend.name.empty()) {
-    std::printf("backend:     %s\n", config.backend.name.c_str());
-  }
   if (passes > 1) {
     if (multipass && adapter.has_value()) {
       std::printf("passes:      %lld (%u completed)\n",
@@ -561,7 +458,6 @@ int CmdSolveStream(const FlagSet& flags) {
   }
   std::printf("peak words:  %zu\n", report.peak_words);
   std::printf("breakdown:   %s\n", report.meter_breakdown.c_str());
-  PrintShardStats(report);
   if (timings) {
     std::printf(
         "timings:     setup %.3fs, stream %.3fs (%llu batches), "
@@ -574,32 +470,55 @@ int CmdSolveStream(const FlagSet& flags) {
   return 0;
 }
 
+/// Every flag each subcommand reads; nullptr for an unknown command.
+const std::vector<const char*>* KnownFlags(const std::string& command) {
+  static const std::map<std::string, std::vector<const char*>> known = {
+      {"list", {"describe"}},
+      {"describe", {}},
+      {"--describe", {}},
+      {"generate",
+       {"family", "n", "m", "seed", "out", "opt", "decoy-min", "decoy-max",
+        "set-min", "set-max", "exponent", "p"}},
+      {"stream", {"instance", "out", "order", "stream-format", "seed"}},
+      {"solve",
+       {"instance", "algorithm", "order", "seed", "runs", "threads",
+        "alpha"}},
+      {"compare", {"instance", "order", "seed"}},
+      {"solve-stream",
+       {"stream", "algorithm", "passes", "window", "replay-every", "seed",
+        "alpha", "threads", "no-prefetch", "no-mmap", "checkpoint",
+        "checkpoint-every", "resume", "stop-after", "timings"}},
+  };
+  auto it = known.find(command);
+  return it == known.end() ? nullptr : &it->second;
+}
+
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   std::string command = argv[1];
   FlagSet flags = FlagSet::Parse(argc - 2, argv + 2);
-  int result;
+  const std::vector<const char*>* known = KnownFlags(command);
+  if (known == nullptr) return Usage();
+  // Reject unknown flags before running anything: a flag this binary
+  // does not read (a typo, or one that was removed) must not let the
+  // command run as if it had not been passed.
+  for (const char* key : *known) flags.Has(key);
+  const std::vector<std::string> unknown = flags.UnusedKeys();
+  for (const std::string& key : unknown) {
+    std::fprintf(stderr, "error: unknown flag --%s for '%s'\n", key.c_str(),
+                 command.c_str());
+  }
+  if (!unknown.empty()) return 2;
+
   if (command == "list") {
-    result = flags.GetBool("describe", false) ? CmdDescribe() : CmdList();
-  } else if (command == "describe" || command == "--describe") {
-    result = CmdDescribe();
-  } else if (command == "generate") {
-    result = CmdGenerate(flags);
-  } else if (command == "stream") {
-    result = CmdStream(flags);
-  } else if (command == "solve") {
-    result = CmdSolve(flags);
-  } else if (command == "compare") {
-    result = CmdCompare(flags);
-  } else if (command == "solve-stream") {
-    result = CmdSolveStream(flags);
-  } else {
-    return Usage();
+    return flags.GetBool("describe", false) ? CmdDescribe() : CmdList();
   }
-  for (const std::string& key : flags.UnusedKeys()) {
-    std::fprintf(stderr, "warning: unused flag --%s\n", key.c_str());
-  }
-  return result;
+  if (command == "describe" || command == "--describe") return CmdDescribe();
+  if (command == "generate") return CmdGenerate(flags);
+  if (command == "stream") return CmdStream(flags);
+  if (command == "solve") return CmdSolve(flags);
+  if (command == "compare") return CmdCompare(flags);
+  return CmdSolveStream(flags);
 }
 
 }  // namespace

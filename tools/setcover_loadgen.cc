@@ -11,15 +11,6 @@
 //     crash-and-restart to exercise resume under real concurrency.
 //   --socket=/path: drives an external setcover_server daemon.
 //
-// With --shards=W each logical session fans out into W shard sessions,
-// mirroring the sharded engine's ingest side: the stream is partitioned
-// by set % W, shard w opens its own server session (seed + w, metadata
-// sized to its sub-stream) and ingests only its slice. Covers verify
-// against per-shard engine::Execute oracles, and the summary reports
-// per-shard ingest rates next to the aggregate. Algorithms cycle over
-// the shardable registry rows only (the server has no merge step; this
-// exercises the W-pipeline ingest path under real concurrency).
-//
 // --transport selects the wire: `local` is the in-process endpoint;
 // `unix` and `shm` put a real unix-domain socket — plain framed or
 // upgraded to the shared-memory rings — under every client,
@@ -42,12 +33,12 @@
 //                    [--elements=60] [--sets=80] [--seed=1]
 //                    [--faults] [--workers=3] [--max-queue=128]
 //                    [--state-dir=DIR] [--kill-after-us=N]
-//                    [--socket=/path/to.sock] [--shards=W]
+//                    [--socket=/path/to.sock]
 //                    [--transport=local|unix|shm] [--window=K]
 //                    [--passes=P]
 //
 // Exit code 0 iff every session completed with an oracle-identical
-// cover.
+// cover; 2 on a bad or unknown flag.
 
 #include <unistd.h>
 
@@ -104,7 +95,6 @@ int main(int argc, char** argv) {
   const std::string state_dir = flags.GetString("state-dir", "");
   const uint64_t kill_after_us =
       uint64_t(flags.GetInt("kill-after-us", 0));
-  const int64_t shards_flag = flags.GetInt("shards", 1);
   // --socket has meant "dial the daemon over its unix socket" since
   // before --transport existed, so it keeps that default; --transport
   // only needs saying to upgrade the dial to shm.
@@ -122,8 +112,10 @@ int main(int argc, char** argv) {
   server_options.max_queue = size_t(flags.GetInt("max-queue", 128));
   server_options.state_dir = state_dir;
 
-  for (const std::string& key : flags.UnusedKeys())
-    std::fprintf(stderr, "warning: unknown flag --%s\n", key.c_str());
+  const std::vector<std::string> unknown = flags.UnusedKeys();
+  for (const std::string& key : unknown)
+    std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
+  if (!unknown.empty()) return 2;
   if (transport != "local" && transport != "unix" && transport != "shm") {
     std::fprintf(stderr, "error: --transport must be local, unix, or shm\n");
     return 2;
@@ -148,48 +140,25 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --kill-after-us needs --state-dir\n");
     return 2;
   }
-  if (shards_flag < 1) {
-    std::fprintf(stderr, "error: --shards must be >= 1\n");
-    return 2;
-  }
   if (passes_flag < 1) {
     std::fprintf(stderr, "error: --passes must be >= 1\n");
     return 2;
   }
-  const uint32_t shards = uint32_t(shards_flag);
   const uint32_t passes = uint32_t(passes_flag);
 
   Rng rng(seed);
   SetCoverInstance instance = GenerateUniformRandom(params, rng);
   EdgeStream stream = OrderedStream(instance, StreamOrder::kRandom, rng);
-  const std::vector<std::string> names =
-      shards > 1 ? ShardableAlgorithmNames() : RegisteredAlgorithmNames();
+  const std::vector<std::string> names = RegisteredAlgorithmNames();
 
-  // Sharded mode: shard w's sub-stream is the edges with set % W == w,
-  // in arrival order, with metadata sized to the slice — exactly what
-  // the sharded engine's filter source would deliver it.
-  std::vector<EdgeStream> shard_streams(shards);
-  for (uint32_t w = 0; w < shards; ++w) {
-    shard_streams[w].meta = stream.meta;
-  }
-  for (const Edge& edge : stream.edges) {
-    shard_streams[edge.set % shards].edges.push_back(edge);
-  }
-  for (uint32_t w = 0; w < shards; ++w) {
-    shard_streams[w].meta.stream_length = shard_streams[w].edges.size();
-  }
-
-  // What each session actually pushes: the slice, repeated once per
+  // What each session actually pushes: the stream, repeated once per
   // pass (the concatenated form of the P-pass schedule the oracle
   // runs).
-  std::vector<std::vector<Edge>> fed_edges(shards);
-  for (uint32_t w = 0; w < shards; ++w) {
-    fed_edges[w].reserve(shard_streams[w].edges.size() * passes);
-    for (uint32_t p = 0; p < passes; ++p) {
-      fed_edges[w].insert(fed_edges[w].end(),
-                          shard_streams[w].edges.begin(),
-                          shard_streams[w].edges.end());
-    }
+  std::vector<Edge> fed_edges;
+  fed_edges.reserve(stream.edges.size() * passes);
+  for (uint32_t p = 0; p < passes; ++p) {
+    fed_edges.insert(fed_edges.end(), stream.edges.begin(),
+                     stream.edges.end());
   }
 
   auto plan_for = [&](uint64_t id) {
@@ -201,33 +170,29 @@ int main(int argc, char** argv) {
     return plan;
   };
 
-  // Oracles, one per distinct (plan, shard): each shard session must
-  // reproduce engine::Execute over its own sub-stream with its own
-  // derived seed.
+  // Oracles, one per distinct plan: each session must reproduce
+  // engine::Execute over the stream with the plan's seed and faults.
   std::map<std::string, engine::RunReport> oracles;
-  auto oracle_key = [](const Plan& plan, uint32_t shard) {
-    std::string key = plan.algorithm + "/" + std::to_string(plan.seed) +
-                      "/w" + std::to_string(shard);
+  auto oracle_key = [](const Plan& plan) {
+    std::string key = plan.algorithm + "/" + std::to_string(plan.seed);
     if (plan.faults) key += "/f" + std::to_string(plan.faults->seed);
     return key;
   };
   for (uint64_t id = 1; id <= sessions; ++id) {
     const Plan plan = plan_for(id);
-    for (uint32_t w = 0; w < shards; ++w) {
-      if (oracles.count(oracle_key(plan, w))) continue;
-      engine::RunConfig config;
-      config.algorithm = plan.algorithm;
-      config.options.seed = plan.seed + w;
-      config.source = engine::SourceSpec::InMemory(shard_streams[w]);
-      config.source.schedule.passes = passes;
-      config.faults = plan.faults;
-      engine::RunReport report = engine::Execute(config);
-      if (!report.completed) {
-        std::fprintf(stderr, "oracle failed: %s\n", report.error.c_str());
-        return 1;
-      }
-      oracles.emplace(oracle_key(plan, w), std::move(report));
+    if (oracles.count(oracle_key(plan))) continue;
+    engine::RunConfig config;
+    config.algorithm = plan.algorithm;
+    config.options.seed = plan.seed;
+    config.source = engine::SourceSpec::InMemory(stream);
+    config.source.schedule.passes = passes;
+    config.faults = plan.faults;
+    engine::RunReport report = engine::Execute(config);
+    if (!report.completed) {
+      std::fprintf(stderr, "oracle failed: %s\n", report.error.c_str());
+      return 1;
     }
+    oracles.emplace(oracle_key(plan), std::move(report));
   }
 
   // Transport: external socket, or a self-hosted server — in-process
@@ -270,7 +235,7 @@ int main(int argc, char** argv) {
   std::atomic<uint64_t> failures{0};
   std::atomic<uint64_t> total_sheds{0};
   std::atomic<uint64_t> total_redials{0};
-  std::vector<std::atomic<uint64_t>> shard_edges(shards);
+  std::atomic<uint64_t> total_edges{0};
   std::vector<std::vector<uint64_t>> thread_latencies(clients);
 
   std::vector<std::thread> threads;
@@ -286,49 +251,42 @@ int main(int argc, char** argv) {
 
       for (uint64_t id = uint64_t(t) + 1; id <= sessions; id += clients) {
         const Plan plan = plan_for(id);
-        // Each logical session fans out into one server session per
-        // shard, exactly like the sharded engine's worker pipelines.
-        for (uint32_t w = 0; w < shards; ++w) {
-          const uint64_t session_id = (id - 1) * shards + w + 1;
-          server::OpenBody open;
-          open.algorithm = plan.algorithm;
-          open.seed = plan.seed + w;
-          open.meta = shard_streams[w].meta;
-          open.checkpoint_every = state_dir.empty() ? 0 : 64;
-          open.faults = plan.faults;
+        server::OpenBody open;
+        open.algorithm = plan.algorithm;
+        open.seed = plan.seed;
+        open.meta = stream.meta;
+        open.checkpoint_every = state_dir.empty() ? 0 : 64;
+        open.faults = plan.faults;
 
-          server::RunSessionOptions run;
-          run.batch_edges = batch;
-          run.window = window;
-          run.ingest_latency = [&, t](uint64_t micros) {
-            thread_latencies[t].push_back(micros);
-          };
+        server::RunSessionOptions run;
+        run.batch_edges = batch;
+        run.window = window;
+        run.ingest_latency = [&, t](uint64_t micros) {
+          thread_latencies[t].push_back(micros);
+        };
 
-          server::Message reply;
-          std::string error;
-          bool done = false;
-          for (int attempt = 0; attempt < 100 && !done; ++attempt) {
-            done = server::RunSessionToCompletion(&client, session_id, open,
-                                                  fed_edges[w], run,
-                                                  &reply, &error);
-          }
-          if (!done) {
-            std::fprintf(stderr, "session %llu failed: %s\n",
-                         (unsigned long long)session_id, error.c_str());
-            failures.fetch_add(1);
-            continue;
-          }
-          const engine::RunReport& expected =
-              oracles.at(oracle_key(plan, w));
-          if (reply.cover != ToU32(expected.solution.cover) ||
-              reply.certificate != ToU32(expected.solution.certificate)) {
-            std::fprintf(stderr, "session %llu: cover mismatch vs oracle\n",
-                         (unsigned long long)session_id);
-            mismatches.fetch_add(1);
-          }
-          shard_edges[w].fetch_add(fed_edges[w].size());
-          completed.fetch_add(1);
+        server::Message reply;
+        std::string error;
+        bool done = false;
+        for (int attempt = 0; attempt < 100 && !done; ++attempt) {
+          done = server::RunSessionToCompletion(&client, id, open, fed_edges,
+                                                run, &reply, &error);
         }
+        if (!done) {
+          std::fprintf(stderr, "session %llu failed: %s\n",
+                       (unsigned long long)id, error.c_str());
+          failures.fetch_add(1);
+          continue;
+        }
+        const engine::RunReport& expected = oracles.at(oracle_key(plan));
+        if (reply.cover != ToU32(expected.solution.cover) ||
+            reply.certificate != ToU32(expected.solution.certificate)) {
+          std::fprintf(stderr, "session %llu: cover mismatch vs oracle\n",
+                       (unsigned long long)id);
+          mismatches.fetch_add(1);
+        }
+        total_edges.fetch_add(fed_edges.size());
+        completed.fetch_add(1);
       }
       total_sheds.fetch_add(client.RetriesAfterShed());
       total_redials.fetch_add(client.Reconnects());
@@ -364,16 +322,9 @@ int main(int argc, char** argv) {
       (unsigned long long)total_redials.load(), seconds, transport.c_str(),
       (unsigned long long)window, passes);
 
-  uint64_t total_edges = 0;
-  for (uint32_t w = 0; w < shards; ++w) {
-    const uint64_t edges = shard_edges[w].load();
-    total_edges += edges;
-    if (shards > 1)
-      std::printf("shard %u: %llu edges ingested, %.2f M edges/s\n", w,
-                  (unsigned long long)edges, edges / seconds / 1e6);
-  }
   std::printf("aggregate: %llu edges ingested, %.2f M edges/s\n",
-              (unsigned long long)total_edges, total_edges / seconds / 1e6);
+              (unsigned long long)total_edges.load(),
+              total_edges.load() / seconds / 1e6);
 
   // The per-op latency histogram: send-to-ack per ingest batch, merged
   // across client threads (retried batches count each attempt's ack).
@@ -390,7 +341,7 @@ int main(int argc, char** argv) {
       (unsigned long long)Percentile(latencies, 0.99),
       (unsigned long long)(latencies.empty() ? 0 : latencies.back()));
   const bool ok =
-      completed.load() == sessions * shards && mismatches.load() == 0 &&
+      completed.load() == sessions && mismatches.load() == 0 &&
       failures.load() == 0;
   std::printf("%s\n", ok ? "OK: all covers bit-identical to the oracle"
                          : "FAILED");
