@@ -26,7 +26,7 @@ void AdversarialLevelAlgorithm::Begin(const StreamMetadata& meta) {
   // Theorem 4 requires α >= 2√n; clamp requests below that.
   alpha_ = std::max(params_.alpha, 2.0 * sqrt_n);
 
-  levels_.Assign(meta.num_sets);
+  levels_.Clear();
   first_set_.assign(meta.num_elements, kNoSet);
   certificate_.assign(meta.num_elements, kNoSet);
   covered_ = DynamicBitset(meta.num_elements);
@@ -174,8 +174,10 @@ bool AdversarialLevelAlgorithm::DecodeState(
   std::vector<uint32_t> first_set = decoder.GetU32Vector();
   std::vector<uint32_t> certificate = decoder.GetU32Vector();
   std::vector<uint32_t> solution = decoder.GetU32Vector();
-  // Dense state is indexed by id, so every id must be range-checked
-  // before it is trusted (the hash containers used to tolerate junk).
+  // Every id must be range-checked before it is trusted: the element
+  // arrays and in_solution_ are indexed by id, the sparse level table
+  // would store an out-of-range id without faulting, and kNoSet is its
+  // empty-slot marker, which it cannot store.
   bool ids_ok = true;
   for (const auto& [s, level] : levels) ids_ok = ids_ok && s < meta.num_sets;
   for (uint32_t s : solution) ids_ok = ids_ok && s < meta.num_sets;
@@ -188,7 +190,6 @@ bool AdversarialLevelAlgorithm::DecodeState(
     return false;
   }
   rng_.SetState(rng_state);
-  levels_.Assign(meta.num_sets);
   for (const auto& [s, level] : levels) levels_.Slot(s).first = level;
   covered_ = std::move(covered);
   first_set_ = std::move(first_set);

@@ -6,9 +6,9 @@
 
 #include "core/streaming_algorithm.h"
 #include "util/bitset.h"
-#include "util/epoch_array.h"
 #include "util/memory_meter.h"
 #include "util/rng.h"
+#include "util/sparse_id_table.h"
 #include "util/types.h"
 
 namespace setcover {
@@ -38,12 +38,12 @@ struct AdversarialLevelParams {
 ///
 /// The space win over KK: no per-set degree array — only the levels of
 /// promoted sets are stored, and (Theorem 4's analysis) only Õ(m·n/α²)
-/// sets are ever promoted. The in-memory representation of L is an
-/// epoch-stamped dense array (O(1) lookup per edge, O(1) clear), but
-/// the *state* — what EncodeState forwards and the meter charges — is
-/// still only the promoted entries, so the Theorem 4 space story is
-/// unchanged (util/memory_meter.h documents why container overhead is
-/// excluded from word accounting).
+/// sets are ever promoted. L is an open-addressing table sized to the
+/// promoted sets (util/sparse_id_table.h), so what the process
+/// allocates for it follows the same Õ(m·n/α²) count that EncodeState
+/// forwards and the meter charges, not m. The one m-sized structure
+/// left is the m-bit solution-membership bitset (m/8 bytes), kept so
+/// the per-edge membership test stays one indexed load.
 class AdversarialLevelAlgorithm : public StreamingSetCoverAlgorithm {
  public:
   explicit AdversarialLevelAlgorithm(uint64_t seed,
@@ -86,7 +86,7 @@ class AdversarialLevelAlgorithm : public StreamingSetCoverAlgorithm {
   StreamMetadata meta_;
   double alpha_ = 1.0;
 
-  EpochArray<uint32_t> levels_;   // L: promoted sets only (dense rep)
+  SparseIdMap<uint32_t> levels_;  // L: promoted sets only
   std::vector<SetId> first_set_;  // R(u)
   std::vector<SetId> certificate_;  // C(u)
   DynamicBitset covered_;         // U

@@ -39,10 +39,10 @@ struct KkParams {
 /// `LevelHistogram()` for the level-decay benchmark.
 ///
 /// Hot-path layout: solution membership and element coverage are dense
-/// bitsets (one indexed load per edge) rather than hash probes; the
-/// meter still charges the same per-item word costs as before, since
-/// the information carried is unchanged (see util/memory_meter.h on
-/// container overhead).
+/// bitsets (one indexed load per edge) rather than hash probes. KK's
+/// state is Θ(m) anyway, so the m-bit membership bitset costs nothing
+/// asymptotically; the meter charges per-item word costs (see
+/// util/memory_meter.h on container overhead).
 class KkAlgorithm : public StreamingSetCoverAlgorithm {
  public:
   explicit KkAlgorithm(uint64_t seed, KkParams params = {});
@@ -80,8 +80,10 @@ class KkAlgorithm : public StreamingSetCoverAlgorithm {
   // next_threshold_[s] is the next level boundary i·√n that d(S) has
   // not reached yet, so the hot path is a single equality compare
   // instead of a modulo. Derived accelerator state (a pure function of
-  // uncovered_degree_ and √n, rebuilt in DecodeState), hence unmetered
-  // — the same rationale as the epoch stamps in util/epoch_array.h.
+  // uncovered_degree_ and √n, rebuilt in DecodeState), hence unmetered.
+  // It is 4 bytes per set next to d(S)'s 4, inside the 8 bytes per set
+  // the meter charges for d(S), so KK's allocated bytes still match its
+  // metered words (tests/alloc_bytes_test.cc).
   std::vector<uint32_t> next_threshold_;
   std::vector<SetId> first_set_;            // R(u), n words
   std::vector<SetId> certificate_;          // C(u), n words

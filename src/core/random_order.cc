@@ -175,9 +175,9 @@ void RandomOrderAlgorithm::Begin(const StreamMetadata& meta) {
   }
   in_solution_ = DynamicBitset(meta.num_sets);
   solution_order_.clear();
-  tracked_.Assign(meta.num_sets);
-  tracked_next_.Assign(meta.num_sets);
-  tracking_counts_.Assign(meta.num_elements);
+  tracked_.Clear();
+  tracked_next_.Clear();
+  tracking_counts_.Clear();
   batch_counters_.assign(batch_size_, 0);
   stats_ = RandomOrderStats{};
   cur_epoch_stats_ = RandomOrderEpochStats{};
@@ -227,9 +227,9 @@ void RandomOrderAlgorithm::StartAlgorithm(uint32_t i) {
   if (i > num_algorithms_ || main_remaining_ == 0) {
     phase_ = Phase::kTail;
     // Release the main-loop structures.
-    tracked_.ClearAll();
-    tracked_next_.ClearAll();
-    tracking_counts_.ClearAll();
+    tracked_.Clear();
+    tracked_next_.Clear();
+    tracking_counts_.Clear();
     batch_counters_.clear();
     meter_.Set(tracked_words_, 0);
     meter_.Set(tracking_counts_words_, 0);
@@ -240,7 +240,7 @@ void RandomOrderAlgorithm::StartAlgorithm(uint32_t i) {
   cur_algorithm_ = i;
   cur_epoch_ = 1;
   // Line 10: fresh tracking sample Q̃ at rate q_0.
-  tracked_.ClearAll();
+  tracked_.Clear();
   cur_tracked_rate_ = TrackingRate(0);
   ForEachBernoulliHit(rng_, meta_.num_sets, cur_tracked_rate_,
                       [&](SetId s) { tracked_.Insert(s); });
@@ -249,8 +249,8 @@ void RandomOrderAlgorithm::StartAlgorithm(uint32_t i) {
 }
 
 void RandomOrderAlgorithm::StartEpoch() {
-  tracked_next_.ClearAll();
-  tracking_counts_.ClearAll();
+  tracked_next_.Clear();
+  tracking_counts_.Clear();
   meter_.Set(tracking_counts_words_, 0);
   meter_.Set(tracked_words_, 2 * tracked_.Size());
   cur_epoch_stats_ = RandomOrderEpochStats{};
@@ -282,7 +282,7 @@ void RandomOrderAlgorithm::EndEpoch() {
   stats_.epochs.push_back(cur_epoch_stats_);
   // Line 32: rotate the tracking sample.
   swap(tracked_, tracked_next_);
-  tracked_next_.ClearAll();
+  tracked_next_.Clear();
   cur_tracked_rate_ = TrackingRate(cur_epoch_);
 }
 
@@ -576,10 +576,12 @@ bool RandomOrderAlgorithm::DecodeState(
   auto tracked_next = decoder.GetSet();
   auto tracking_counts = decoder.GetMap();
   std::vector<uint32_t> batch_counters = decoder.GetU32Vector();
-  // Dense state is indexed by id, so every id must be range-checked
-  // before it is trusted (the hash containers used to tolerate junk);
-  // the batch-counter size check also closes a latent out-of-bounds
-  // write in ProcessEdge on forged messages.
+  // Every id must be range-checked before it is trusted: the element
+  // arrays and in_solution_ are indexed by id, the sparse tracking
+  // tables would store an out-of-range id without faulting, and kNoSet
+  // is their empty-slot marker, which they cannot store. The
+  // batch-counter size check also closes a latent out-of-bounds write
+  // in ProcessEdge on forged messages.
   bool ids_ok = true;
   for (uint32_t s : solution) ids_ok = ids_ok && s < meta.num_sets;
   for (uint32_t s : tracked) ids_ok = ids_ok && s < meta.num_sets;
@@ -613,11 +615,11 @@ bool RandomOrderAlgorithm::DecodeState(
   solution_order_ = std::move(solution);
   in_solution_ = DynamicBitset(meta.num_sets);
   for (SetId s : solution_order_) in_solution_.Set(s);
-  tracked_.ClearAll();
+  tracked_.Clear();
   for (SetId s : tracked) tracked_.Insert(s);
-  tracked_next_.ClearAll();
+  tracked_next_.Clear();
   for (SetId s : tracked_next) tracked_next_.Insert(s);
-  tracking_counts_.ClearAll();
+  tracking_counts_.Clear();
   for (const auto& [u, c] : tracking_counts) tracking_counts_.Slot(u).first = c;
   batch_counters_ = std::move(batch_counters);
   // Restore meter components to the decoded sizes; instrumentation

@@ -9,9 +9,9 @@
 #include "core/streaming_algorithm.h"
 #include "util/bitset.h"
 #include "util/count_min.h"
-#include "util/epoch_array.h"
 #include "util/memory_meter.h"
 #include "util/rng.h"
+#include "util/sparse_id_table.h"
 #include "util/types.h"
 
 namespace setcover {
@@ -244,18 +244,19 @@ class RandomOrderAlgorithm : public StreamingSetCoverAlgorithm {
   std::vector<uint32_t> epoch0_degree_;
   std::unique_ptr<CountMinSketch> epoch0_sketch_;
 
-  // Solution.
+  // Solution. in_solution_ is the one m-sized structure: m bits (128 KiB
+  // at m = 2²⁰, unmetered), kept dense because ProcessEdgeBatch screens
+  // each chunk with a SIMD gather over it.
   DynamicBitset in_solution_;
   std::vector<SetId> solution_order_;
 
-  // Tracking machinery — Õ(m/√n) *live entries* (what the meter and
-  // EncodeState carry), held in epoch-stamped dense containers so the
-  // per-edge membership probe is one indexed load and the per-epoch
-  // reset is O(1) (see util/epoch_array.h on why the dense stamps are
-  // unmetered container overhead).
-  EpochSet tracked_;                        // Q̃
-  EpochSet tracked_next_;                   // Q̃'
-  EpochArray<uint32_t> tracking_counts_;    // T
+  // Tracking machinery — Õ(m/√n) entries, held in open-addressing
+  // tables sized to that population (util/sparse_id_table.h), so the
+  // bytes they allocate track what the meter charges and EncodeState
+  // carries: 2 words per tracked set and per (element, count) entry.
+  SparseIdSet tracked_;                     // Q̃
+  SparseIdSet tracked_next_;                // Q̃'
+  SparseIdMap<uint32_t> tracking_counts_;   // T
   std::vector<uint32_t> batch_counters_;    // C[·] for the live batch
 
   RandomOrderStats stats_;

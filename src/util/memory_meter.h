@@ -24,6 +24,13 @@ namespace setcover {
 /// overheads (capacity slack, hash-table load factors) are deliberately
 /// excluded, and each algorithm documents the word cost it charges per
 /// stored item.
+///
+/// Excluded overhead is held to a constant factor, not left unbounded:
+/// every table behind a metered item is sized to its live population
+/// (util/sparse_id_table.h), and tests/alloc_bytes_test.cc checks the
+/// allocated bytes of each algorithm in Table 1's regime against
+/// 4 · 8 · PeakWords() plus an m-bit solution bitset and O(n) bytes.
+/// bench_scaling reports the measured bytes next to the words.
 class MemoryMeter {
  public:
   using ComponentId = size_t;

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "instance/validator.h"
 #include "stream/orderings.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace setcover {
 namespace {
@@ -78,6 +80,87 @@ INSTANTIATE_TEST_SUITE_P(
     Restorable, RestoreSweep,
     testing::Values("kk", "adversarial-level", "random-order",
                     "first-set-patching"),
+    [](const testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+// Word offset of the first id in the sparse table a state message
+// carries: adversarial-level's level map L, or random-order's tracking
+// sample Q̃. Walks the EncodeState layouts; the word before it is the
+// table's entry count.
+size_t FirstSparseIdWord(const std::string& algorithm,
+                         const StreamMetadata& meta,
+                         const std::vector<uint64_t>& words) {
+  if (algorithm == "adversarial-level") return 4 + 1;  // RNG, count
+  size_t at = 12;  // RNG, tracked rate, cursor scalars
+  at += EncodedBoolVectorWords(meta.num_elements);  // marked
+  for (int field = 0; field < 3; ++field) {  // first_set, witness, degrees
+    at += EncodedU32VectorWords(words[at]);
+  }
+  at += 1;  // sketch flag (exact counters: 0)
+  at += EncodedU32VectorWords(words[at]);  // solution
+  return at + 1;  // Q̃'s count word, then its ids two per word
+}
+
+// The sparse tables store any key but their empty marker without
+// complaint, so for an out-of-range id in a forged state message
+// DecodeState's range check is the only guard. A message patched to carry set id m, or kNoSet (the
+// tables' empty marker), must be refused, and the instance must run
+// exactly as a fresh one afterwards.
+class ForgedSparseIds : public testing::TestWithParam<std::string> {};
+
+TEST_P(ForgedSparseIds, OutOfRangeIdIsRejected) {
+  Rng rng(3);
+  PlantedCoverParams p;
+  p.num_elements = 256;
+  p.num_sets = 4096;
+  p.planted_cover_size = 4;
+  auto inst = GeneratePlantedCover(p, rng);
+  auto stream = RandomOrderStream(inst, rng);
+
+  auto reference = MakeAlgorithmByName(GetParam(), {.seed = 7});
+  reference->Begin(stream.meta);
+  for (size_t i = 0; i < stream.size() / 4; ++i) {
+    reference->ProcessEdge(stream.edges[i]);
+  }
+  StateEncoder encoder;
+  reference->EncodeState(&encoder);
+  const std::vector<uint64_t>& words = encoder.Words();
+  const size_t at = FirstSparseIdWord(GetParam(), stream.meta, words);
+  ASSERT_LT(at, words.size());
+  ASSERT_GT(words[at - 1], 0u) << "the cut must leave the table non-empty";
+  ASSERT_LT(words[at] & 0xFFFFFFFFu, stream.meta.num_sets);
+  ASSERT_TRUE(MakeAlgorithmByName(GetParam(), {.seed = 7})
+                  ->DecodeState(stream.meta, words));
+
+  auto fresh = MakeAlgorithmByName(GetParam(), {.seed = 7});
+  fresh->Begin(stream.meta);
+  for (const Edge& edge : stream.edges) fresh->ProcessEdge(edge);
+  const CoverSolution expected = fresh->Finalize();
+
+  for (uint32_t forged_id : {stream.meta.num_sets, kNoSet}) {
+    std::vector<uint64_t> forged = words;
+    forged[at] = (forged[at] & ~uint64_t{0xFFFFFFFF}) | forged_id;
+    auto victim = MakeAlgorithmByName(GetParam(), {.seed = 7});
+    EXPECT_FALSE(victim->DecodeState(stream.meta, forged))
+        << GetParam() << " accepted id " << forged_id;
+
+    victim->Begin(stream.meta);
+    for (const Edge& edge : stream.edges) victim->ProcessEdge(edge);
+    const CoverSolution solution = victim->Finalize();
+    EXPECT_TRUE(ValidateSolution(inst, solution).ok);
+    EXPECT_EQ(solution.cover, expected.cover) << GetParam();
+    EXPECT_EQ(solution.certificate, expected.certificate) << GetParam();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SparseTables, ForgedSparseIds,
+    testing::Values("adversarial-level", "random-order"),
     [](const testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (char& c : name) {
