@@ -41,6 +41,7 @@
 # Usage: scripts/check.sh [--bench-smoke] [jobs]
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/bench_gate_rows.sh
 
 echo "== layering guard: ProcessEdgeBatch callers outside src/engine/ =="
 # Allowlist: the engine itself, the interface + batch/per-edge contract
@@ -189,7 +190,7 @@ if [[ "$BENCH_SMOKE" == "1" ]]; then
   GATE_OK=0
   for GATE_ATTEMPT in 1 2 3; do
     build-release/bench/bench_throughput \
-      '--benchmark_filter=FileReplay|BM_GreedyCover/|IngestCeiling|ExecuteIngest' \
+      "--benchmark_filter=$THROUGHPUT_GATE_FILTER" \
       --benchmark_format=json >/tmp/setcover_replay_smoke.json
     # The server ingest matrix runs as its own binary: a full session
     # per iteration (open/ingest/finalize/close) against a live server,
