@@ -189,7 +189,8 @@ BENCHMARK(BM_NGuessThreads)
 
 // The engine's own in-memory entry point: the same kk run as the
 // BM_Throughput row, but through engine::Execute — algorithm
-// resolution, the unsupervised fast path, finalize and report stamping
+// resolution, the session's zero-copy batch path, finalize and report
+// stamping
 // — so the gap between the two rows is the engine's overhead over a
 // hand-driven loop.
 void BM_ExecuteIngest(benchmark::State& state) {

@@ -28,9 +28,9 @@
 #      TSan (-DSETCOVER_TSAN=ON), so the engine-backed parallel drivers
 #      and the server's scheduler/drain paths are race-checked.
 #
-# Both modes start with layering guards: outside src/engine/ (and the
-# contract's own definition sites), production code must not drive
-# ProcessEdgeBatch directly — every run path goes through the engine —
+# Both modes start with layering guards: only the engine's session core
+# (and the contract's own definition sites) may drive ProcessEdgeBatch —
+# every run path goes through engine::Session —
 # src/server/ must stay a pure engine client (no includes of the
 # core/instance/algorithm layers), raw shared-memory plumbing
 # (memfd_create / SCM_RIGHTS fd passing) stays confined to
@@ -43,12 +43,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 source scripts/bench_gate_rows.sh
 
-echo "== layering guard: ProcessEdgeBatch callers outside src/engine/ =="
-# Allowlist: the engine itself, the interface + batch/per-edge contract
-# definition sites, and the composite algorithm that fans a batch out to
-# its sub-runs. bench/ and tests/ are exempt by not being scanned.
+echo "== layering guard: ProcessEdgeBatch callers outside engine/session.cc =="
+# Allowlist: the engine's one drive loop (engine::Session), the
+# interface + batch/per-edge contract definition sites, and the
+# composite algorithm that fans a batch out to its sub-runs. Even
+# engine.cc must hand its batches to the session. bench/ and tests/
+# are exempt by not being scanned.
 GUARD_ALLOW=(
-  src/engine/engine.cc
   src/engine/session.cc
   src/core/streaming_algorithm.h
   src/core/streaming_algorithm.cc
@@ -58,8 +59,9 @@ GUARD_HITS=$(grep -rnE '(\.|->)ProcessEdgeBatch\(' src/ tools/ examples/ \
   $(printf -- "--exclude=%s " "${GUARD_ALLOW[@]##*/}") || true)
 if [[ -n "$GUARD_HITS" ]]; then
   echo "$GUARD_HITS"
-  echo "layering guard: ProcessEdgeBatch called outside src/engine/;"
-  echo "route new run paths through engine::Execute (see docs/architecture.md)"
+  echo "layering guard: ProcessEdgeBatch called outside engine/session.cc;"
+  echo "route new run paths through engine::Execute or engine::Session"
+  echo "(see docs/architecture.md)"
   exit 1
 fi
 

@@ -105,7 +105,7 @@ class StreamingSetCoverAlgorithm {
 };
 
 /// Default edges per ProcessEdgeBatch call, used by the execution
-/// engine (engine::Execute / engine::Drive, see engine/engine.h) and by
+/// engine (engine::Execute, see engine/engine.h) and by
 /// the header-inline RunStream reference primitive below. Equal to the
 /// stream file v2 chunk capacity (stream/stream_file.h), so checkpoint
 /// positions and on-disk chunk boundaries stay aligned with batch
@@ -126,7 +126,7 @@ void ProcessBatchCheckedForEquivalence(StreamingSetCoverAlgorithm& algorithm,
 
 /// Feeds a whole materialized stream through `algorithm` in
 /// kIngestBatchEdges-sized batches and finalizes. This is the reference
-/// drive primitive the engine's fast paths are pinned against
+/// drive primitive the engine is pinned against
 /// (tests/engine_equivalence_test.cc); production callers should go
 /// through engine::Execute, which adds sources, fault tolerance,
 /// checkpointing, and reporting around the same loop.

@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <ctime>
+#include <deque>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "run/checkpoint.h"
+#include "engine/session.h"
 #include "stream/edge.h"
-#include "stream/schedule.h"
 
 namespace setcover {
 namespace engine {
@@ -24,225 +23,128 @@ double Seconds(Clock::time_point since) {
   return std::chrono::duration<double>(Clock::now() - since).count();
 }
 
-/// Records the algorithm's space accounting into the report — called on
-/// every exit path so even killed or failed runs report their meter.
-void StampMeter(RunReport* report,
-                const StreamingSetCoverAlgorithm& algorithm) {
-  report->peak_words = algorithm.Meter().PeakWords();
-  report->current_words = algorithm.Meter().CurrentWords();
-  report->meter_breakdown = algorithm.Meter().BreakdownString();
-}
+/// The record supply of one Execute run under its schedule: span slices
+/// of an in-memory stream, or chunk spans of a stream file straight off
+/// the (possibly prefetching, possibly mmap'd) reader, replayed once per
+/// scheduled pass. Positions are scheduled coordinates, pass · N +
+/// record, where N is the length of one pass.
+class ScheduledFeed {
+ public:
+  ScheduledFeed(const EdgeStream* stream,
+                std::unique_ptr<BatchEdgeReader> reader,
+                const ScheduleSpec& schedule)
+      : stream_(stream),
+        reader_(std::move(reader)),
+        schedule_(schedule),
+        pass_length_(stream_ != nullptr ? stream_->edges.size()
+                                        : reader_->Meta().stream_length) {}
 
-/// Finalize + bookkeeping shared by every completing path.
-void FinalizeRun(RunReport* report, StreamingSetCoverAlgorithm& algorithm) {
-  const auto start = Clock::now();
-  report->solution = algorithm.Finalize();
-  report->stages.finalize_seconds = Seconds(start);
-  const std::vector<SetId>& certificate = report->solution.certificate;
-  report->uncovered_elements =
-      std::count(certificate.begin(), certificate.end(), kNoSet);
-  report->completed = true;
-  StampMeter(report, algorithm);
-}
+  const StreamMetadata& Meta() const {
+    return stream_ != nullptr ? stream_->meta : reader_->Meta();
+  }
 
-/// The in-memory fast path: RunStream's exact loop (same batch
-/// boundaries, same debug-build first-batch equivalence spot-check)
-/// with the engine's counters layered on. Bit-identical to RunStream —
-/// pinned by engine_equivalence_test.
-void DriveInMemory(RunReport* report, StreamingSetCoverAlgorithm& algorithm,
-                   const EdgeStream& stream, size_t batch_edges) {
-  const auto start = Clock::now();
-  algorithm.Begin(stream.meta);
-  std::span<const Edge> edges(stream.edges);
-  for (size_t offset = 0; offset < edges.size(); offset += batch_edges) {
-    std::span<const Edge> batch =
-        edges.subspan(offset, std::min(batch_edges, edges.size() - offset));
-#ifndef NDEBUG
-    if (offset == 0) {
-      // Spot-check the batch/per-edge equivalence contract on the first
-      // batch of every debug-build run; cheap relative to the stream.
-      ProcessBatchCheckedForEquivalence(algorithm, stream.meta, batch);
-      ++report->stages.batches;
-      report->edges_delivered += batch.size();
-      continue;
+  /// Positions the cursor at scheduled position `position` (a position
+  /// equal to the whole schedule's length parks it at the end).
+  bool SeekTo(uint64_t position) {
+    uint64_t pass = pass_length_ == 0 ? 0 : position / pass_length_;
+    uint64_t offset = pass_length_ == 0 ? position : position % pass_length_;
+    if (pass >= schedule_.passes) {
+      if (pass != schedule_.passes || offset != 0 || pass_length_ == 0)
+        return false;
+      pass = schedule_.passes - 1;
+      offset = pass_length_;
     }
-#endif
-    algorithm.ProcessEdgeBatch(batch);
-    ++report->stages.batches;
-    report->edges_delivered += batch.size();
+    pass_ = uint32_t(pass);
+    return Rewind(offset);
   }
-  report->stages.stream_seconds = Seconds(start);
-  FinalizeRun(report, algorithm);
-}
 
-/// The file fast path: RunStreamFromFile's exact loop — chunk-aligned,
-/// CRC-verified batches straight off the (possibly prefetching, possibly
-/// zero-copy mmap) reader. Damage semantics match the supervised loop:
-/// a checksum-failed chunk counts as one corrupt record and degrades
-/// the run; early EOF degrades it.
-void DriveFile(RunReport* report, StreamingSetCoverAlgorithm& algorithm,
-               BatchEdgeReader& reader) {
-  const auto start = Clock::now();
-  algorithm.Begin(reader.Meta());
-  for (std::span<const Edge> batch = reader.NextBatch(); !batch.empty();
-       batch = reader.NextBatch()) {
-    algorithm.ProcessEdgeBatch(batch);
-    ++report->stages.batches;
-    report->edges_delivered += batch.size();
+  /// The next batch: up to `limit` source records (fewer at a chunk or
+  /// pass end) followed, for a window schedule, by the replay copies
+  /// they trigger. *records is the number of source records in it; 0
+  /// once the schedule ends or the file ended early (see Damaged()).
+  std::span<const Edge> Next(size_t limit, size_t* records) {
+    std::span<const Edge> batch = Take(limit);
+    while (batch.empty() && !Damaged() && pass_ + 1 < schedule_.passes) {
+      ++pass_;
+      recent_.clear();
+      fresh_ = 0;
+      if (!Rewind(0)) break;
+      batch = Take(limit);
+    }
+    *records = batch.size();
+    return schedule_.window > 0 ? WithReplays(batch) : batch;
   }
-  report->stages.stream_seconds = Seconds(start);
-  if (reader.ChecksumFailed()) {
-    ++report->corrupt_records_skipped;
-    ++report->faults_survived;
+
+  /// The file ended before N records, or a chunk failed its CRC; either
+  /// ends the whole schedule, since replaying a pass that did not
+  /// deliver its N records would feed each pass a different sequence.
+  bool Damaged() const {
+    return reader_ != nullptr &&
+           (reader_->Truncated() || reader_->ChecksumFailed());
   }
-  if (reader.Truncated() || reader.ChecksumFailed()) report->degraded = true;
-  FinalizeRun(report, algorithm);
-}
+  bool ChecksumFailed() const {
+    return reader_ != nullptr && reader_->ChecksumFailed();
+  }
+
+ private:
+  bool Rewind(uint64_t offset) {
+    pending_ = {};
+    if (stream_ != nullptr) {
+      if (offset > stream_->edges.size()) return false;
+      offset_ = offset;
+      return true;
+    }
+    return reader_->SeekToEdge(offset);
+  }
+
+  std::span<const Edge> Take(size_t limit) {
+    if (stream_ != nullptr) {
+      std::span<const Edge> edges(stream_->edges);
+      std::span<const Edge> batch =
+          edges.subspan(offset_, std::min(limit, edges.size() - offset_));
+      offset_ += batch.size();
+      return batch;
+    }
+    // The reader's span stays valid until its next read, which happens
+    // only once this chunk has been handed out whole.
+    if (pending_.empty()) pending_ = reader_->NextBatch();
+    std::span<const Edge> batch =
+        pending_.first(std::min(limit, pending_.size()));
+    pending_ = pending_.subspan(batch.size());
+    return batch;
+  }
+
+  /// The sliding-window transform: each record passes through, and
+  /// after every `replay_every` records of the pass the last `window`
+  /// of them follow again, oldest first.
+  std::span<const Edge> WithReplays(std::span<const Edge> records) {
+    replayed_.clear();
+    for (const Edge& edge : records) {
+      replayed_.push_back(edge);
+      recent_.push_back(edge);
+      if (recent_.size() > schedule_.window) recent_.pop_front();
+      if (++fresh_ >= schedule_.replay_every) {
+        fresh_ = 0;
+        replayed_.insert(replayed_.end(), recent_.begin(), recent_.end());
+      }
+    }
+    return replayed_;
+  }
+
+  const EdgeStream* stream_;
+  std::unique_ptr<BatchEdgeReader> reader_;
+  ScheduleSpec schedule_;
+  uint64_t pass_length_;
+  uint32_t pass_ = 0;
+  size_t offset_ = 0;               // in-memory cursor within the pass
+  std::span<const Edge> pending_;   // rest of the reader's current chunk
+
+  std::deque<Edge> recent_;         // window: last records of the pass
+  uint32_t fresh_ = 0;              // window: records since last replay
+  std::vector<Edge> replayed_;      // window: the expanded batch
+};
 
 }  // namespace
-
-RunReport Drive(const DriveOptions& options,
-                StreamingSetCoverAlgorithm& algorithm, EdgeSource& source) {
-  RunReport report;
-  report.algorithm_name = algorithm.Name();
-  const StreamMetadata& meta = source.Meta();
-  const auto setup_start = Clock::now();
-
-  if (options.resume) {
-    std::string error;
-    std::optional<Checkpoint> checkpoint =
-        LoadCheckpoint(options.checkpoint_path, &error);
-    if (!checkpoint) {
-      report.error = error;
-      return report;
-    }
-    if (checkpoint->algorithm_name != algorithm.Name()) {
-      report.error = "checkpoint was written by algorithm '" +
-                     checkpoint->algorithm_name + "', not '" +
-                     algorithm.Name() + "'";
-      return report;
-    }
-    if (checkpoint->meta.num_sets != meta.num_sets ||
-        checkpoint->meta.num_elements != meta.num_elements ||
-        checkpoint->meta.stream_length != meta.stream_length) {
-      report.error = "checkpoint stream shape does not match the source";
-      return report;
-    }
-    if (!algorithm.DecodeState(meta, checkpoint->state_words)) {
-      report.error = "algorithm '" + algorithm.Name() +
-                     "' could not decode the checkpointed state";
-      return report;
-    }
-    if (!source.SeekTo(checkpoint->stream_position)) {
-      report.error = "source cannot seek to checkpointed position";
-      return report;
-    }
-    report.resumed = true;
-    report.resumed_at = checkpoint->stream_position;
-    report.edges_delivered = checkpoint->edges_delivered;
-    report.transient_retries = checkpoint->transient_retries;
-    report.corrupt_records_skipped = checkpoint->corrupt_skipped;
-    report.faults_survived = checkpoint->faults_survived;
-  } else {
-    algorithm.Begin(meta);
-  }
-  report.stages.setup_seconds = Seconds(setup_start);
-
-  const bool checkpointing =
-      !options.checkpoint_path.empty() && options.checkpoint_every > 0;
-  const size_t batch_edges =
-      options.batch_edges > 0 ? options.batch_edges : kIngestBatchEdges;
-  uint64_t delivered_this_run = 0;
-  ExponentialBackoff retry(options.backoff);
-  const auto stream_start = Clock::now();
-
-  // Batched ingestion: edges accumulate with the same per-edge fault
-  // handling as the original per-edge supervisor, and flush through
-  // ProcessEdgeBatch. Batches are capped so that every observable
-  // boundary of the per-edge loop — checkpoint positions
-  // (edges_delivered % checkpoint_every == 0), the stop_after kill
-  // point, and end-of-stream — falls exactly on a flush, so
-  // checkpoints, reports and the algorithm's state are bit-identical
-  // to the per-edge path.
-  Edge edge;
-  std::vector<Edge> batch;
-  batch.reserve(batch_edges);
-  auto flush = [&] {
-    if (batch.empty()) return;
-    algorithm.ProcessEdgeBatch(std::span<const Edge>(batch));
-    report.edges_delivered += batch.size();
-    delivered_this_run += batch.size();
-    ++report.stages.batches;
-    batch.clear();
-  };
-  for (;;) {
-    if (options.stop_after != 0 &&
-        delivered_this_run + batch.size() >= options.stop_after) {
-      // Simulated kill: walk away mid-stream. The last checkpoint on
-      // disk is exactly what a real crash would leave behind.
-      flush();
-      report.stages.stream_seconds = Seconds(stream_start);
-      report.uncovered_elements = 0;
-      StampMeter(&report, algorithm);
-      return report;
-    }
-    const ReadStatus status = source.Next(&edge);
-    if (status == ReadStatus::kTransient) {
-      uint64_t delay_us = 0;
-      if (!retry.NextDelay(&delay_us)) {
-        report.degraded = true;  // retry budget exhausted mid-stream
-        break;
-      }
-      ++report.transient_retries;
-      ++report.faults_survived;
-      if (options.sleeper) options.sleeper(delay_us);
-      continue;
-    }
-    retry.Reset();
-    if (status == ReadStatus::kEnd) break;
-    if (status == ReadStatus::kCorrupt) {
-      ++report.corrupt_records_skipped;
-      ++report.faults_survived;
-      continue;
-    }
-
-    batch.push_back(edge);
-    const uint64_t logical_delivered = report.edges_delivered + batch.size();
-
-    if (checkpointing &&
-        logical_delivered % options.checkpoint_every == 0) {
-      flush();
-      if (!source.HasPendingReplay()) {
-        StateEncoder encoder;
-        algorithm.EncodeState(&encoder);
-        Checkpoint checkpoint;
-        checkpoint.algorithm_name = algorithm.Name();
-        checkpoint.meta = meta;
-        checkpoint.stream_position = source.Position();
-        checkpoint.edges_delivered = report.edges_delivered;
-        checkpoint.transient_retries = report.transient_retries;
-        checkpoint.corrupt_skipped = report.corrupt_records_skipped;
-        checkpoint.faults_survived = report.faults_survived;
-        checkpoint.state_words = encoder.Words();
-        std::string error;
-        if (!SaveCheckpoint(checkpoint, options.checkpoint_path, &error)) {
-          report.error = error;
-          StampMeter(&report, algorithm);
-          return report;
-        }
-        ++report.checkpoints_written;
-      }
-    } else if (batch.size() >= batch_edges) {
-      flush();
-    }
-  }
-  flush();
-  report.stages.stream_seconds = Seconds(stream_start);
-
-  if (source.Truncated()) report.degraded = true;
-  FinalizeRun(&report, algorithm);
-  return report;
-}
 
 RunReport Execute(const RunConfig& config) {
   RunReport report;
@@ -276,7 +178,6 @@ RunReport Execute(const RunConfig& config) {
 
   const ScheduleSpec& schedule = spec.schedule;
   if (!schedule.Validate(&report.error)) return report;
-
   const bool checkpointing = !config.checkpoint.path.empty() &&
                              config.checkpoint.every > 0;
   if (schedule.window > 0 && (checkpointing || config.checkpoint.resume)) {
@@ -284,66 +185,83 @@ RunReport Execute(const RunConfig& config) {
                    "contents are not position-addressable)";
     return report;
   }
-  const bool supervised = config.faults.has_value() ||
-                          config.stop_after != 0 ||
-                          config.checkpoint.resume || checkpointing ||
-                          config.batch_edges != kIngestBatchEdges ||
-                          !schedule.Trivial();
-
-  if (!supervised) {
-    // Fast paths: clean source, no mid-run observation points — the
-    // legacy RunStream / RunStreamFromFile loops, verbatim.
-    if (spec.stream != nullptr) {
-      report.stages.setup_seconds = Seconds(setup_start);
-      DriveInMemory(&report, *algorithm, *spec.stream, config.batch_edges);
-    } else {
-      std::string error;
-      auto reader = OpenBatchEdgeReader(spec.path, spec.read_options, &error);
-      if (reader == nullptr) {
-        report.error = error;
-        return report;
-      }
-      report.stages.setup_seconds = Seconds(setup_start);
-      DriveFile(&report, *algorithm, *reader);
-    }
-  } else {
-    // Supervised path: assemble source -> schedule -> fault injector
-    // -> Drive. The schedule sits under the injector so fault decisions
-    // key on scheduled positions and the whole stack stays
-    // deterministic (and, for pass schedules, checkpointable).
-    std::unique_ptr<EdgeSource> file_source;
-    std::optional<VectorEdgeSource> vector_source;
-    EdgeSource* source = nullptr;
-    if (spec.stream != nullptr) {
-      source = &vector_source.emplace(*spec.stream);
-    } else {
-      std::string error;
-      file_source =
-          StreamFileSource::Open(spec.path, spec.read_options, &error);
-      if (file_source == nullptr) {
-        report.error = error;
-        return report;
-      }
-      source = file_source.get();
-    }
-    std::optional<ScheduledSource> scheduled;
-    if (!schedule.Trivial()) source = &scheduled.emplace(source, schedule);
-    std::optional<FaultInjector> injector;
-    if (config.faults.has_value())
-      source = &injector.emplace(source, *config.faults);
-
-    DriveOptions options;
-    options.checkpoint_path = config.checkpoint.path;
-    options.checkpoint_every = config.checkpoint.every;
-    options.resume = config.checkpoint.resume;
-    options.backoff = config.backoff;
-    options.sleeper = config.sleeper;
-    options.stop_after = config.stop_after;
-    options.batch_edges = config.batch_edges;
-    const double setup_seconds = Seconds(setup_start);
-    report = Drive(options, *algorithm, *source);
-    report.stages.setup_seconds += setup_seconds;
+  if (schedule.window > 0 && config.faults.has_value()) {
+    report.error = "windowed schedules take no fault schedule (a replayed "
+                   "window record has no stream position for a fault "
+                   "decision to key on)";
+    return report;
   }
+
+  std::unique_ptr<BatchEdgeReader> reader;
+  if (spec.stream == nullptr) {
+    reader = OpenBatchEdgeReader(spec.path, spec.read_options, &report.error);
+    if (reader == nullptr) return report;
+  }
+  ScheduledFeed feed(spec.stream, std::move(reader), schedule);
+
+  SessionConfig session_config;
+  session_config.meta = feed.Meta();
+  session_config.faults = config.faults;
+  session_config.checkpoint_path = config.checkpoint.path;
+  session_config.checkpoint_every = config.checkpoint.every;
+  session_config.backoff = config.backoff;
+  session_config.sleeper = config.sleeper;
+  std::unique_ptr<Session> session = Session::OpenOver(
+      *algorithm, session_config, config.checkpoint.resume, &report.error);
+  if (session == nullptr) return report;
+  const uint64_t start_position = session->Position();
+  if (start_position != 0 && !feed.SeekTo(start_position)) {
+    report.error = "source cannot seek to checkpointed position";
+    return report;
+  }
+  const double setup_seconds = Seconds(setup_start);
+
+  // Batches are cut so that every observable boundary — checkpoint
+  // positions (position % every == 0), the stop_after kill point and
+  // end-of-stream — falls between two of them; by the ProcessEdgeBatch
+  // contract the cut points change nothing else.
+  const auto stream_start = Clock::now();
+  const uint64_t every = checkpointing ? config.checkpoint.every : 0;
+  const size_t batch_edges =
+      config.batch_edges > 0 ? config.batch_edges : kIngestBatchEdges;
+  uint64_t position = start_position;
+  bool stopped = false;  // killed, or a checkpoint write failed
+  std::string error;
+  for (;;) {
+    const uint64_t consumed = position - start_position;
+    if (config.stop_after != 0 && consumed >= config.stop_after) {
+      // Simulated kill: walk away mid-stream. The last checkpoint on
+      // disk is exactly what a real crash would leave behind.
+      stopped = true;
+      break;
+    }
+    uint64_t limit = batch_edges;
+    if (every > 0) limit = std::min(limit, every - position % every);
+    if (config.stop_after != 0)
+      limit = std::min(limit, config.stop_after - consumed);
+    size_t records = 0;
+    const std::span<const Edge> batch = feed.Next(size_t(limit), &records);
+    if (records == 0) break;
+    const IngestResult result = session->Apply(batch, &error);
+    // A record ran out of transient retries: the run ends degraded.
+    if (result.status == IngestStatus::kRejected) break;
+    if (result.status != IngestStatus::kApplied) {
+      stopped = true;
+      break;
+    }
+    position += records;
+  }
+  const double stream_seconds = Seconds(stream_start);
+
+  if (stopped) {
+    report = session->Snapshot();
+    report.error = error;  // empty after a simulated kill
+  } else {
+    if (feed.Damaged()) session->NoteSourceDamage(feed.ChecksumFailed());
+    report = session->Finalize();
+  }
+  report.stages.setup_seconds = setup_seconds;
+  report.stages.stream_seconds = stream_seconds;
 
   // Validation stage (only meaningful for completed runs).
   if (config.validate != nullptr && report.completed) {
@@ -363,8 +281,7 @@ RunReport Execute(const RunConfig& config) {
 
 // RunStreamFromFile (declared in stream/stream_file.h) predates the
 // engine and survives as API surface for examples/tests/benches; it is
-// now a thin client of the engine's file fast path, which is its old
-// loop verbatim.
+// a thin client of Execute over a file source.
 std::optional<CoverSolution> RunStreamFromFile(
     StreamingSetCoverAlgorithm& algorithm, const std::string& path,
     const StreamReadOptions& options, std::string* error) {

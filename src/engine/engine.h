@@ -11,7 +11,6 @@
 #include "core/streaming_algorithm.h"
 #include "instance/validator.h"
 #include "run/checkpoint.h"
-#include "stream/edge_source.h"
 #include "stream/fault_injector.h"
 #include "stream/schedule.h"
 #include "stream/stream_file.h"
@@ -23,22 +22,24 @@ namespace engine {
 /// The execution engine: every way this repository drives an edge
 /// stream through a streaming algorithm goes through here. A run is
 /// described declaratively by a RunConfig — algorithm, source, fault
-/// injection, checkpointing, batching, validation — and Execute()
-/// assembles the pipeline
+/// injection, checkpointing, batching, validation — and Execute() pulls
+/// record batches from the source into one engine::Session
+/// (engine/session.h), the single drive loop:
 ///
-///   source -> fault injector -> batcher -> algorithm -> finalize
-///          -> validate
+///   source -> schedule -> Session (fault injector -> algorithm,
+///   checkpoints) -> finalize -> validate
 ///
 /// returning one unified RunReport. BestOfRuns, the bench harnesses,
-/// RunStreamFromFile, and the CLI are all thin clients of this seam (docs/architecture.md has the layer diagram); the only
-/// drive loop outside src/engine/ is the header-inline RunStream in
+/// RunStreamFromFile, and the CLI are all thin clients of this seam
+/// (docs/architecture.md has the layer diagram); the only drive loop
+/// outside src/engine/ is the header-inline RunStream in
 /// core/streaming_algorithm.h, kept as the reference primitive that
 /// tests/engine_equivalence_test.cc pins the engine against.
 ///
 /// Equivalence contract: for the same (algorithm, seed, edges), every
-/// engine path produces bit-identical covers, certificates, meter
-/// readings, and checkpoint bytes to the legacy RunStream /
-/// RunStreamFromFile loops and the per-edge supervisor it replaced — enforced by
+/// source, schedule and batch size produces bit-identical covers,
+/// certificates and meter readings to RunStream, and checkpoint bytes
+/// identical to a per-edge driver — enforced by
 /// tests/engine_equivalence_test.cc for every registered algorithm.
 
 /// Where a run's edges come from. Exactly one of `stream` (an in-memory
@@ -50,11 +51,11 @@ struct SourceSpec {
   std::string path;
   StreamReadOptions read_options;
 
-  /// Stream schedule layered over the raw source: k repeated passes
+  /// Stream schedule applied to the raw source: k repeated passes
   /// (multi-pass algorithms), or a sliding-window replay feed
-  /// (duplicate-heavy arrival simulation). The default is the trivial
-  /// one-pass schedule. Non-trivial schedules run supervised; windowed
-  /// schedules are not checkpointable. See stream/schedule.h.
+  /// (duplicate-heavy arrival simulation). The default is the plain
+  /// one-pass schedule. Windowed schedules take neither checkpoints nor
+  /// faults. See stream/schedule.h.
   ScheduleSpec schedule;
 
   static SourceSpec InMemory(const EdgeStream& stream) {
@@ -72,8 +73,9 @@ struct SourceSpec {
 };
 
 /// Crash tolerance for one run. `path` names the sidecar checkpoint
-/// file; a checkpoint is written every `every` delivered edges (at
-/// record boundaries only). With `resume`, the run restores from `path`
+/// file; a checkpoint is written every `every` source records (equal
+/// to delivered edges unless faults drop or duplicate records). With
+/// `resume`, the run restores from `path`
 /// instead of starting fresh — the checkpoint must load, CRC-verify,
 /// match the algorithm and stream shape, and decode; anything less is a
 /// fatal error, never a silent restart.
@@ -89,7 +91,7 @@ struct CheckpointSpec {
 /// hot loop the engine exists to keep fast.
 struct StageStats {
   double setup_seconds = 0.0;     // source open + algorithm resolve/resume
-  double stream_seconds = 0.0;    // source -> batcher -> algorithm loop
+  double stream_seconds = 0.0;    // source -> session -> algorithm loop
   double finalize_seconds = 0.0;  // Finalize(): cover + certificate
   double validate_seconds = 0.0;  // certificate validation (when enabled)
   double total_seconds = 0.0;     // Execute() entry to exit
@@ -98,7 +100,7 @@ struct StageStats {
 };
 
 /// Everything a caller learns from an engine run: the solution, the
-/// supervision counters, per-stage observability, the resolved
+/// fault and checkpoint counters, per-stage observability, the resolved
 /// algorithm identity, meter totals, and the validation verdict.
 struct RunReport {
   /// Valid only when `completed`.
@@ -148,47 +150,6 @@ struct RunReport {
   ValidationResult validation;
 };
 
-/// Knobs of the supervised drive loop.
-struct DriveOptions {
-  /// Sidecar checkpoint file; empty disables checkpointing.
-  std::string checkpoint_path;
-
-  /// Write a checkpoint every this many delivered edges (at record
-  /// boundaries only — never while the source holds pending replay
-  /// state). 0 disables periodic checkpoints even with a path set.
-  uint64_t checkpoint_every = 0;
-
-  /// Resume from `checkpoint_path` instead of starting fresh.
-  bool resume = false;
-
-  /// Retry budget for transient read faults.
-  BackoffPolicy backoff;
-
-  /// Called with each backoff delay in microseconds. Defaults to not
-  /// sleeping, which keeps tests and simulations instant; the CLI
-  /// installs a real sleep.
-  std::function<void(uint64_t)> sleeper;
-
-  /// Simulated kill switch: stop (without finalizing) once this many
-  /// edges have been delivered this run. 0 disables.
-  uint64_t stop_after = 0;
-
-  /// Edges per ProcessEdgeBatch flush. Checkpoint positions, the
-  /// stop_after kill point, and end-of-stream always fall exactly on a
-  /// flush, so reports and algorithm state are bit-identical at any
-  /// batch size (the batch/per-edge contract of ProcessEdgeBatch).
-  size_t batch_edges = kIngestBatchEdges;
-};
-
-/// Low-level entry point: drives `algorithm` over a caller-assembled
-/// `source` to completion under full supervision — periodic CRC'd
-/// checkpoints, crash resume with bit-identical continuation, bounded
-/// retries on transient faults, skip-and-count on corrupt records, and
-/// graceful degradation to a certified partial cover when the stream
-/// cannot be fully consumed.
-RunReport Drive(const DriveOptions& options,
-                StreamingSetCoverAlgorithm& algorithm, EdgeSource& source);
-
 /// One declarative run description, consumed by Execute().
 struct RunConfig {
   /// Algorithm to run, by registry name. Ignored when
@@ -213,14 +174,21 @@ struct RunConfig {
   /// Checkpoint/resume behavior.
   CheckpointSpec checkpoint;
 
-  /// Simulated kill switch (see DriveOptions::stop_after).
+  /// Simulated kill switch: stop (without finalizing) once this many
+  /// source records were consumed this run. 0 disables. The last
+  /// checkpoint on disk is then exactly what a real crash leaves.
   uint64_t stop_after = 0;
 
-  /// Retry/sleep policy for transient source faults.
+  /// Retry policy for transient faults, and the sleep between retries
+  /// (unset: no sleep; see SessionConfig::sleeper).
   BackoffPolicy backoff;
   std::function<void(uint64_t)> sleeper;
 
-  /// Edges per batcher flush (see DriveOptions::batch_edges).
+  /// Most source records per batch handed to the session. Checkpoint
+  /// positions, the stop_after kill point and end-of-stream also cut
+  /// batches, and a file batch never spans two chunks; by the
+  /// ProcessEdgeBatch contract reports and algorithm state are
+  /// bit-identical at any batch size.
   size_t batch_edges = kIngestBatchEdges;
 
   /// When set, the completed solution is validated against this
@@ -229,12 +197,11 @@ struct RunConfig {
   const SetCoverInstance* validate = nullptr;
 };
 
-/// Assembles the pipeline described by `config`, runs it, and returns
-/// the unified report. Unsupervised configurations (no faults, no
-/// checkpointing, no kill switch, default batch size) take a zero-copy
-/// fast path — span-sliced batches for in-memory streams, chunk-aligned
-/// reader batches for files — that is bit-identical to the supervised
-/// loop; supervised configurations run under Drive().
+/// Runs the pipeline described by `config` and returns the unified
+/// report: resolves the algorithm, opens a Session on it (fresh, or
+/// resumed from config.checkpoint), hands it record batches — span
+/// slices of an in-memory stream or chunk spans of a stream file, zero
+/// copy — then finalizes and validates.
 RunReport Execute(const RunConfig& config);
 
 }  // namespace engine

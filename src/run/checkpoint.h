@@ -10,11 +10,11 @@
 
 namespace setcover {
 
-/// One recoverable snapshot of a supervised run: everything needed to
+/// One recoverable snapshot of a run: everything needed to
 /// continue a one-pass execution after a crash — which algorithm was
 /// running, over which stream shape, how far the source had been
 /// consumed, the algorithm's serialized state (StateEncoder words, RNG
-/// included by each algorithm's EncodeState), and the supervisor's own
+/// included by each algorithm's EncodeState), and the session's own
 /// fault counters so a resumed run reports totals as if uninterrupted.
 ///
 /// On-disk layout (little-endian), file magic "SCKP", version 2:
@@ -38,14 +38,16 @@ struct Checkpoint {
   std::string algorithm_name;
   StreamMetadata meta;
 
-  /// Underlying source position (EdgeSource::Position()) to SeekTo.
+  /// Stream records consumed (engine::Session::Position(); pass · N +
+  /// record under a multi-pass schedule) — where a resumed run
+  /// continues.
   uint64_t stream_position = 0;
 
   /// Edges actually delivered to the algorithm (>= positions consumed
   /// minus drops, plus duplicates).
   uint64_t edges_delivered = 0;
 
-  /// Supervisor counters carried across the restart.
+  /// Fault counters carried across the restart.
   uint64_t transient_retries = 0;
   uint64_t corrupt_skipped = 0;
   uint64_t faults_survived = 0;

@@ -248,7 +248,8 @@ Message SessionManager::Handle(const Message& request) {
         return MakeError(request.session_id,
                          "ingest sequence gap: session is at " +
                              std::to_string(result.last_sequence));
-      if (result.status == engine::IngestStatus::kFailed)
+      if (result.status == engine::IngestStatus::kRejected ||
+          result.status == engine::IngestStatus::kFailed)
         return MakeError(request.session_id, error);
       reply.type = MessageType::kIngestOk;
       reply.duplicate = result.status == engine::IngestStatus::kDuplicate;

@@ -14,30 +14,4 @@ bool VectorEdgeSource::SeekTo(size_t position) {
   return true;
 }
 
-std::unique_ptr<StreamFileSource> StreamFileSource::Open(
-    const std::string& path, std::string* error) {
-  return Open(path, StreamReadOptions{}, error);
-}
-
-std::unique_ptr<StreamFileSource> StreamFileSource::Open(
-    const std::string& path, const StreamReadOptions& options,
-    std::string* error) {
-  auto reader = OpenBatchEdgeReader(path, options, error);
-  if (reader == nullptr) return nullptr;
-  return std::unique_ptr<StreamFileSource>(
-      new StreamFileSource(std::move(reader)));
-}
-
-ReadStatus StreamFileSource::Next(Edge* edge) {
-  if (reader_->Next(edge)) return ReadStatus::kOk;
-  if (reader_->ChecksumFailed() && !corrupt_reported_) {
-    // Report the damaged chunk once; the reader already refuses to
-    // surface its edges, so the stream effectively ends here.
-    corrupt_reported_ = true;
-    *edge = Edge{0, 0};
-    return ReadStatus::kCorrupt;
-  }
-  return ReadStatus::kEnd;
-}
-
 }  // namespace setcover

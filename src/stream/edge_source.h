@@ -1,34 +1,30 @@
 #ifndef SETCOVER_STREAM_EDGE_SOURCE_H_
 #define SETCOVER_STREAM_EDGE_SOURCE_H_
 
-#include <memory>
-#include <string>
+#include <cstddef>
 
 #include "stream/stream.h"
-#include "stream/stream_file.h"
 
 namespace setcover {
 
 /// Outcome of pulling one record from an EdgeSource.
 enum class ReadStatus {
   kOk,         // *edge holds the next stream item
-  kEnd,        // the stream is exhausted (or ended early — see Truncated)
+  kEnd,        // the stream is exhausted
   kTransient,  // momentary failure; retrying the same call may succeed
   kCorrupt,    // the record was damaged and must not reach an algorithm
 };
 
-/// A positioned, resumable supply of stream edges — what the run
-/// supervisor drives algorithms from. Unlike the raw in-memory
-/// EdgeStream, an EdgeSource can fail: Next() reports transient faults
-/// (worth retrying) and corrupt records (detected, skipped, counted)
-/// distinctly from end-of-stream, which is what makes a supervised run
-/// recoverable.
+/// A positioned, per-record supply of stream edges that can fail:
+/// Next() reports transient faults (worth retrying) and corrupt records
+/// (detected, skipped, counted) distinctly from end-of-stream. The
+/// engine's session runs each fault-injected batch through one
+/// (engine/session.cc), and tests drive a VectorEdgeSource under a
+/// FaultInjector record by record as the per-edge oracle.
 ///
-/// `Position()` counts *underlying* records consumed, which is the
-/// coordinate checkpoints store and SeekTo() restores; a conforming
+/// `Position()` counts *underlying* records consumed; a conforming
 /// implementation replays the identical record sequence (including any
-/// injected faults) from any position it previously reported at a
-/// checkpoint boundary.
+/// injected faults) from any record boundary it reported.
 class EdgeSource {
  public:
   virtual ~EdgeSource() = default;
@@ -46,19 +42,9 @@ class EdgeSource {
   /// Repositions so the next record is the one at `position`. Returns
   /// false if unsupported or out of range.
   virtual bool SeekTo(size_t position) = 0;
-
-  /// True when the source holds buffered replay state (e.g. the second
-  /// copy of a duplicated record) that a position-based checkpoint
-  /// could not reconstruct. Supervisors only checkpoint when this is
-  /// false.
-  virtual bool HasPendingReplay() const { return false; }
-
-  /// True once the underlying stream ended before Meta().stream_length
-  /// records were produced.
-  virtual bool Truncated() const { return false; }
 };
 
-/// In-memory source over a materialized EdgeStream (tests, CLI solve).
+/// In-memory source over a materialized EdgeStream.
 class VectorEdgeSource : public EdgeSource {
  public:
   explicit VectorEdgeSource(const EdgeStream& stream) : stream_(stream) {}
@@ -71,42 +57,6 @@ class VectorEdgeSource : public EdgeSource {
  private:
   const EdgeStream& stream_;
   size_t position_ = 0;
-};
-
-/// File-backed source over the binary stream-file format. Surfaces a
-/// chunk checksum failure as one kCorrupt status (position skips to the
-/// end of the damaged chunk, after which the stream ends) and early EOF
-/// as kEnd with Truncated() set.
-class StreamFileSource : public EdgeSource {
- public:
-  /// Opens `path` with default read options (mmap + prefetch); nullptr
-  /// (with *error) on open/header failure.
-  static std::unique_ptr<StreamFileSource> Open(const std::string& path,
-                                                std::string* error);
-  static std::unique_ptr<StreamFileSource> Open(
-      const std::string& path, const StreamReadOptions& options,
-      std::string* error);
-
-  const StreamMetadata& Meta() const override { return reader_->Meta(); }
-  ReadStatus Next(Edge* edge) override;
-  size_t Position() const override { return reader_->EdgesRead(); }
-  bool SeekTo(size_t position) override {
-    corrupt_reported_ = false;
-    return reader_->SeekToEdge(position);
-  }
-  /// A checksum-failed chunk also ends the stream before N records —
-  /// that is truncation as far as a supervised run is concerned, so
-  /// the run is reported degraded, not silently complete.
-  bool Truncated() const override {
-    return reader_->Truncated() || reader_->ChecksumFailed();
-  }
-
- private:
-  explicit StreamFileSource(std::unique_ptr<BatchEdgeReader> reader)
-      : reader_(std::move(reader)) {}
-
-  std::unique_ptr<BatchEdgeReader> reader_;
-  bool corrupt_reported_ = false;
 };
 
 }  // namespace setcover

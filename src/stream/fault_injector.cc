@@ -54,12 +54,14 @@ FaultKind FaultInjector::KindAt(size_t p) const {
 }
 
 size_t FaultInjector::Position() const {
-  return pending_duplicate_.has_value() ? pending_position_
-                                        : base_->Position();
+  if (pending_duplicate_.has_value()) return pending_position_;
+  if (held_.has_value()) return held_position_;
+  return base_->Position();
 }
 
 bool FaultInjector::SeekTo(size_t position) {
   if (!base_->SeekTo(position)) return false;
+  held_.reset();
   pending_duplicate_.reset();
   transient_delivered_ = 0;
   return true;
@@ -72,7 +74,16 @@ ReadStatus FaultInjector::Next(Edge* edge) {
     return ReadStatus::kOk;
   }
   for (;;) {
-    const size_t p = base_->Position();
+    if (!held_.has_value()) {
+      held_position_ = base_->Position();
+      Edge record{};
+      const ReadStatus status = base_->Next(&record);
+      if (status == ReadStatus::kCorrupt) *edge = record;
+      if (status != ReadStatus::kOk) return status;
+      held_ = record;
+      transient_delivered_ = 0;
+    }
+    const size_t p = held_position_;
     const FaultKind kind = KindAt(p);
     if (kind == FaultKind::kTransient &&
         transient_delivered_ < schedule_.transient_failures) {
@@ -80,9 +91,8 @@ ReadStatus FaultInjector::Next(Edge* edge) {
       ++delivered_[static_cast<size_t>(FaultKind::kTransient)];
       return ReadStatus::kTransient;
     }
-    ReadStatus status = base_->Next(edge);
-    if (status != ReadStatus::kOk) return status;
-    transient_delivered_ = 0;
+    *edge = *held_;
+    held_.reset();
     switch (kind) {
       case FaultKind::kDrop:
         ++delivered_[static_cast<size_t>(FaultKind::kDrop)];

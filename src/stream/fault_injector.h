@@ -13,7 +13,8 @@ namespace setcover {
 /// at-least-once delivery.
 enum class FaultKind : uint8_t {
   kNone = 0,
-  kTransient,  // Next() fails kTransient a few times, then succeeds
+  kTransient,  // reading the record fails kTransient a few times, then
+               // succeeds
   kDuplicate,  // the record is delivered twice
   kDrop,       // the record is silently lost
   kCorrupt,    // the record arrives garbled (out-of-range ids)
@@ -41,14 +42,19 @@ struct FaultSchedule {
 };
 
 /// Deterministic fault-injection layer: wraps any EdgeSource and
-/// damages its output according to a FaultSchedule. Used by the
-/// robustness tests to prove the supervisor survives dirty streams,
-/// and by the kill-and-resume tests to prove recovery is bit-exact
-/// even while faults keep firing.
+/// damages its output according to a FaultSchedule. engine::Session
+/// runs every batch of a fault-injected run through one; the
+/// robustness and kill-and-resume tests use it to prove the engine
+/// survives dirty streams and recovers bit-exactly while faults keep
+/// firing.
 ///
 /// Determinism contract: the fault decision for the record at
 /// underlying position p depends only on (schedule.seed, p). SeekTo()
 /// therefore restores not just the data but the exact fault replay.
+/// A transient fault belongs to a record: a read that finds the base
+/// source exhausted ends the stream without one, so a stream cut into
+/// spans sees each record's faults exactly once, in the span that
+/// holds the record.
 class FaultInjector : public EdgeSource {
  public:
   FaultInjector(EdgeSource* base, FaultSchedule schedule);
@@ -57,10 +63,6 @@ class FaultInjector : public EdgeSource {
   ReadStatus Next(Edge* edge) override;
   size_t Position() const override;
   bool SeekTo(size_t position) override;
-  bool HasPendingReplay() const override {
-    return pending_duplicate_.has_value();
-  }
-  bool Truncated() const override { return base_->Truncated(); }
 
   /// What the schedule decrees for the record at position `p`.
   FaultKind KindAt(size_t p) const;
@@ -76,11 +78,14 @@ class FaultInjector : public EdgeSource {
   EdgeSource* base_;
   FaultSchedule schedule_;
   double scale_ = 1.0;
+  // The record at `held_position_`, read from the base while its
+  // transient failures are still being delivered.
+  std::optional<Edge> held_;
+  size_t held_position_ = 0;
   // Second copy of a duplicated record, owed to the consumer.
   std::optional<Edge> pending_duplicate_;
   size_t pending_position_ = 0;
-  // Transient failures already delivered for the position currently
-  // being read (reset whenever the position advances).
+  // Transient failures already delivered for the held record.
   uint32_t transient_delivered_ = 0;
   size_t delivered_[5] = {0, 0, 0, 0, 0};
 };

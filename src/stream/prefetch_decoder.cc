@@ -149,6 +149,6 @@ std::unique_ptr<BatchEdgeReader> OpenBatchEdgeReader(
 }
 
 // RunStreamFromFile is implemented in engine/engine.cc as a thin client
-// of the engine's file fast path (the old loop here, verbatim).
+// of engine::Execute over a file source.
 
 }  // namespace setcover

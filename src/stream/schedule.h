@@ -2,77 +2,32 @@
 #define SETCOVER_STREAM_SCHEDULE_H_
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <string>
-#include <vector>
-
-#include "stream/edge_source.h"
 
 namespace setcover {
 
-/// Declarative arrival schedule for a run's source stage: how the
-/// underlying one-pass record sequence is presented to the algorithm.
-/// The default (passes == 1, window == 0) is the plain one-pass feed
-/// and adds no wrapper at all.
-///
-/// Schedules compose as source backends: the engine layers
-/// ScheduledSource *under* the fault injector, so fault decisions key
-/// on scheduled positions and the whole stack stays deterministic and
-/// (for pass schedules) checkpointable.
+/// Declarative arrival schedule for a run's source: how the underlying
+/// one-pass record sequence is presented to the algorithm. The default
+/// (passes == 1, window == 0) is the plain one-pass feed.
+/// engine::Execute applies it to the record batches it cuts from the
+/// source (engine/engine.cc).
 struct ScheduleSpec {
   /// k >= 1 repeated passes over the underlying stream (Chakrabarti–
   /// Wirth style multi-pass). Each pass replays the identical record
-  /// sequence via SeekTo(0); scheduled position p maps to pass p / N,
-  /// record p % N, so checkpoints compose with multi-pass runs.
+  /// sequence; scheduled position p maps to pass p / N, record p % N,
+  /// so checkpoints compose with multi-pass runs.
   uint32_t passes = 1;
 
-  /// Sliding-window replay: keep the last `window` delivered records
-  /// and re-deliver them (oldest first) after every `replay_every`
-  /// fresh records — a duplicate-heavy arrival feed. Replayed records
-  /// do not advance Position() and are flagged via HasPendingReplay(),
-  /// so supervisors never checkpoint mid-replay; window schedules are
-  /// not resumable (the window contents are not position-addressable)
-  /// and the engine rejects them combined with checkpointing.
+  /// Sliding-window replay: keep the last `window` records of the
+  /// current pass and re-deliver them (oldest first) after every
+  /// `replay_every` fresh records — a duplicate-heavy arrival feed.
+  /// Replayed records have no stream position of their own, so window
+  /// schedules are not resumable and take no fault schedule: the
+  /// engine rejects them combined with checkpointing or faults.
   uint32_t window = 0;
   uint32_t replay_every = 0;
 
-  /// True when the schedule is the plain one-pass feed.
-  bool Trivial() const { return passes <= 1 && window == 0; }
-
   bool Validate(std::string* error) const;
-};
-
-/// EdgeSource combinator applying a ScheduleSpec to an inner source.
-/// Non-owning: the inner source must outlive the schedule.
-class ScheduledSource : public EdgeSource {
- public:
-  ScheduledSource(EdgeSource* inner, const ScheduleSpec& spec);
-
-  const StreamMetadata& Meta() const override { return inner_->Meta(); }
-  ReadStatus Next(Edge* edge) override;
-
-  /// Scheduled coordinate: pass * N + inner position for pass
-  /// schedules; replayed window records do not advance it.
-  size_t Position() const override;
-  bool SeekTo(size_t position) override;
-  bool HasPendingReplay() const override;
-  bool Truncated() const override { return inner_->Truncated(); }
-
-  /// Pass currently being delivered (0-based).
-  uint32_t CurrentPass() const { return pass_; }
-
- private:
-  EdgeSource* inner_;
-  ScheduleSpec spec_;
-  size_t inner_length_;
-  uint32_t pass_ = 0;
-
-  // Sliding-window replay state.
-  std::deque<Edge> window_;
-  std::vector<Edge> replay_;
-  size_t replay_pos_ = 0;
-  uint32_t fresh_ = 0;
 };
 
 }  // namespace setcover

@@ -90,15 +90,15 @@ struct StreamReadOptions {
 
   /// Decode and CRC-check chunks on a background pipeline thread, one
   /// pipeline unit ahead of the consumer (stream/prefetch_decoder.h).
-  /// Honoured by OpenBatchEdgeReader / StreamFileSource /
+  /// Honoured by OpenBatchEdgeReader, and so by engine::Execute and
   /// RunStreamFromFile; a bare StreamFileReader is always synchronous.
   bool prefetch = true;
 };
 
 /// What every positioned reader of decoded stream-file edges looks
 /// like — implemented synchronously by StreamFileReader and
-/// asynchronously by PrefetchDecoder, so drivers (RunStreamFromFile,
-/// StreamFileSource) are agnostic to where decoding runs.
+/// asynchronously by PrefetchDecoder, so the engine's file source is
+/// agnostic to where decoding runs.
 class BatchEdgeReader {
  public:
   virtual ~BatchEdgeReader() = default;

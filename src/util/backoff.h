@@ -5,8 +5,8 @@
 
 namespace setcover {
 
-/// Bounded exponential backoff parameters, used by the run supervisor
-/// when a stream source reports a transient fault. All delays are pure
+/// Bounded exponential backoff parameters, used by engine::Session
+/// when a stream record hits a transient fault. All delays are pure
 /// arithmetic here — whoever consumes the schedule decides whether (and
 /// how) to actually sleep, which keeps the policy deterministic and
 /// testable.

@@ -8,7 +8,7 @@ namespace setcover {
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected), the checksum
 /// guarding the on-disk robustness formats: stream-file headers, v2
-/// chunks and run-supervisor checkpoints. Table-driven, one byte per
+/// chunks and engine checkpoints. Table-driven, one byte per
 /// step.
 ///
 /// Incremental use: feed the previous return value back as `seed` to

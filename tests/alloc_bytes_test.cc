@@ -71,8 +71,9 @@ const EdgeStream& PlantedStream(uint32_t n) {
 //                        std::vector reallocating holds old + new (≤ 3×
 //                        its size). The fourth factor absorbs malloc's
 //                        size-class rounding.
-//   + m/8                The m-bit in_solution_ bitset all five keep
-//                        deliberately (random-order's batch screen
+//   + m/8                The m-bit in_solution_ bitset that kk,
+//                        adversarial-level and the random-order variants
+//                        keep deliberately (random-order's batch screen
 //                        gathers from it with SIMD), which no meter
 //                        charges.
 //   + 64 · n             Unmetered O(n) element bookkeeping: the covered
@@ -111,7 +112,10 @@ INSTANTIATE_TEST_SUITE_P(
     Registered, AlgorithmBytes,
     testing::Combine(testing::Values("kk", "adversarial-level",
                                      "random-order", "random-order-sketch",
-                                     "random-order-paper"),
+                                     "random-order-paper",
+                                     "set-arrival-threshold",
+                                     "random-order-nguess",
+                                     "first-set-patching"),
                      testing::Values(256u, 1024u)),
     [](const testing::TestParamInfo<AlgorithmBytes::ParamType>& info) {
       std::string name = std::get<0>(info.param);

@@ -2,7 +2,7 @@
 // algorithm, ProcessEdgeBatch must leave the algorithm in a state
 // bit-identical to the per-edge path — same cover, same certificate,
 // same EncodeState words, same meter peak — at any batch partition of
-// the stream, and under the supervisor's batched delivery with faults
+// the stream, and under the engine's batched delivery with faults
 // firing.
 
 #include <gtest/gtest.h>
@@ -103,9 +103,10 @@ TEST_P(BatchEquivalence, EveryBatchPartitionMatchesPerEdge) {
   }
 }
 
-// The supervisor's batched delivery over a fault-injected source must
-// match a per-edge loop applying the same skip/retry handling: faults
-// change which edges arrive, batching must not change anything else.
+// The engine's batched delivery under a fault schedule (injected batch
+// by batch inside the session) must match a per-edge loop applying the
+// same skip/retry handling: faults change which edges arrive, batching
+// must not change anything else.
 TEST_P(BatchEquivalence, SupervisedFaultyDeliveryMatchesPerEdge) {
   const EdgeStream& stream = TestStream();
   const FaultSchedule schedule = FaultSchedule::AllKinds(99);
@@ -131,10 +132,11 @@ TEST_P(BatchEquivalence, SupervisedFaultyDeliveryMatchesPerEdge) {
   reference.peak_words = reference_algorithm->Meter().PeakWords();
 
   auto supervised_algorithm = MakeAlgorithmByName(GetParam(), {});
-  VectorEdgeSource base(stream);
-  FaultInjector source(&base, schedule);
-  engine::RunReport report =
-      engine::Drive({}, *supervised_algorithm, source);
+  engine::RunConfig config;
+  config.algorithm_instance = supervised_algorithm.get();
+  config.source = engine::SourceSpec::InMemory(stream);
+  config.faults = schedule;
+  engine::RunReport report = engine::Execute(config);
   ASSERT_TRUE(report.error.empty()) << report.error;
   ASSERT_TRUE(report.completed);
 

@@ -1,9 +1,9 @@
 // Engine equivalence — the acceptance bar for the src/engine/ refactor:
 // for every registered algorithm, engine::Execute must produce
 // bit-identical covers, certificates, meter readings, and checkpoint
-// bytes to the legacy drive loops it replaced (the header-inline
-// RunStream reference primitive, and a hand-rolled per-edge supervised
-// driver for checkpoint bytes), across in-memory adversarial/random
+// bytes to the reference drive loops (the header-inline RunStream
+// primitive, and hand-rolled per-edge drivers for checkpoint bytes and
+// fault-injected delivery), across in-memory adversarial/random
 // sources and stream files (v2 sync, v3 + prefetch), including
 // kill-and-resume through the engine — plus the stream schedules
 // (multi-pass and sliding-window) layered over those sources.
@@ -25,6 +25,8 @@
 #include "stream/orderings.h"
 #include "stream/stream_file.h"
 #include "util/rng.h"
+
+#include "per_edge_oracle.h"
 
 namespace setcover {
 namespace {
@@ -125,10 +127,9 @@ TEST_P(EngineSweep, InMemoryExecuteMatchesRunStream) {
 }
 
 // File sources — v2 synchronous and v3 with the background prefetch
-// decoder — must agree with RunStream over the same edges. (Peak words
-// are compared only in NDEBUG builds: debug builds run RunStream's
-// first-batch equivalence spot-check, which the file fast path, like
-// the old RunStreamFromFile, never did.)
+// decoder — must agree with RunStream over the same edges, peak words
+// included: in debug builds both run the first-batch equivalence
+// spot-check on the same 4096-edge first batch.
 TEST_P(EngineSweep, FileExecuteMatchesRunStream) {
   Fixture fixture = MakeFixture(131, StreamOrder::kRandom);
   auto reference = MakeAlgorithmByName(GetParam(), {.seed = 33});
@@ -164,9 +165,7 @@ TEST_P(EngineSweep, FileExecuteMatchesRunStream) {
     EXPECT_EQ(report.solution.certificate, expected.certificate) << context;
     EXPECT_EQ(report.current_words, reference->Meter().CurrentWords())
         << context;
-#ifdef NDEBUG
     EXPECT_EQ(report.peak_words, reference->Meter().PeakWords()) << context;
-#endif
     std::remove(path.c_str());
   }
 }
@@ -262,8 +261,9 @@ TEST_P(EngineSweep, CheckpointBytesMatchPerEdgeOracle) {
   std::remove(oracle_path.c_str());
 }
 
-// Execute's declarative fault spec must assemble the identical pipeline
-// a caller would wire by hand (source -> FaultInjector -> Drive).
+// Execute's declarative fault spec, injected batch by batch inside the
+// session, must deliver exactly what a caller wiring the pipeline by
+// hand gets (source -> FaultInjector -> per-edge loop).
 TEST_P(EngineSweep, FaultSpecMatchesManualAssembly) {
   Fixture fixture = MakeFixture(211, StreamOrder::kRandom);
   const FaultSchedule schedule = FaultSchedule::AllKinds(17, 0.04);
@@ -271,7 +271,7 @@ TEST_P(EngineSweep, FaultSpecMatchesManualAssembly) {
   auto manual = MakeAlgorithmByName(GetParam(), {.seed = 23});
   VectorEdgeSource base(fixture.stream);
   FaultInjector faulty(&base, schedule);
-  engine::RunReport expected = engine::Drive({}, *manual, faulty);
+  engine::RunReport expected = RunPerEdgeOracle(*manual, faulty);
   ASSERT_TRUE(expected.completed) << expected.error;
 
   engine::RunConfig config;
@@ -486,6 +486,36 @@ TEST(EngineTest, WindowScheduleRejectsCheckpointing) {
   ASSERT_FALSE(report.completed);
   EXPECT_NE(report.error.find("not checkpointable"), std::string::npos)
       << report.error;
+}
+
+// Nor do they take a fault schedule: a replayed window record has no
+// stream position of its own for a fault decision to key on.
+TEST(EngineTest, WindowScheduleRejectsFaults) {
+  Fixture fixture = MakePlantedFixture(441);
+  engine::RunConfig config = InMemoryConfig("kk", fixture.stream);
+  config.source.schedule.window = 16;
+  config.source.schedule.replay_every = 64;
+  config.faults = FaultSchedule::AllKinds(5);
+  engine::RunReport report = engine::Execute(config);
+  ASSERT_FALSE(report.completed);
+  EXPECT_NE(report.error.find("windowed schedule"), std::string::npos)
+      << report.error;
+  EXPECT_NE(report.error.find("fault"), std::string::npos) << report.error;
+}
+
+// A run told to resume must find its checkpoint. Unlike a server
+// session (Session.ResumeWithoutCheckpointFileStartsFresh), Execute
+// never silently starts over when the file is missing.
+TEST(EngineTest, ResumeWithoutCheckpointFileFails) {
+  Fixture fixture = MakeFixture(101, StreamOrder::kRandom);
+  engine::RunConfig config = InMemoryConfig("kk", fixture.stream);
+  config.checkpoint.path = TempPath("never_written.sckp");
+  config.checkpoint.resume = true;
+  std::remove(config.checkpoint.path.c_str());
+  engine::RunReport report = engine::Execute(config);
+  EXPECT_FALSE(report.completed);
+  EXPECT_FALSE(report.error.empty());
+  EXPECT_EQ(report.edges_delivered, 0u);
 }
 
 TEST(EngineTest, UnknownAlgorithmFailsWithSuggestion) {

@@ -18,6 +18,8 @@
 #include "stream/orderings.h"
 #include "util/rng.h"
 
+#include "per_edge_oracle.h"
+
 namespace setcover {
 namespace {
 
@@ -158,10 +160,18 @@ TEST_P(RobustnessSweep, SurvivesEveryFaultKindUnderSupervision) {
   auto stream = RandomOrderStream(inst, rng);
 
   for (uint64_t fault_seed : {uint64_t{1}, uint64_t{77}, uint64_t{4242}}) {
+    engine::RunConfig config;
+    config.algorithm = GetParam();
+    config.options.seed = 15;
+    config.source = engine::SourceSpec::InMemory(stream);
+    config.faults = FaultSchedule::AllKinds(fault_seed, 0.05);
+    engine::RunReport report = engine::Execute(config);
+
+    // What the injector did, read off the per-edge oracle.
     VectorEdgeSource base(stream);
-    FaultInjector source(&base, FaultSchedule::AllKinds(fault_seed, 0.05));
-    auto algorithm = MakeAlgorithmByName(GetParam(), {.seed = 15});
-    engine::RunReport report = engine::Drive({}, *algorithm, source);
+    FaultInjector source(&base, *config.faults);
+    auto oracle = MakeAlgorithmByName(GetParam(), {.seed = 15});
+    RunPerEdgeOracle(*oracle, source);
 
     const std::string context =
         GetParam() + " fault_seed=" + std::to_string(fault_seed);
@@ -192,10 +202,12 @@ TEST_P(RobustnessSweep, FaultSweepIsDeterministic) {
 
   CoverSolution first, second;
   for (int round = 0; round < 2; ++round) {
-    VectorEdgeSource base(stream);
-    FaultInjector source(&base, FaultSchedule::AllKinds(55, 0.06));
-    auto algorithm = MakeAlgorithmByName(GetParam(), {.seed = 8});
-    engine::RunReport report = engine::Drive({}, *algorithm, source);
+    engine::RunConfig config;
+    config.algorithm = GetParam();
+    config.options.seed = 8;
+    config.source = engine::SourceSpec::InMemory(stream);
+    config.faults = FaultSchedule::AllKinds(55, 0.06);
+    engine::RunReport report = engine::Execute(config);
     ASSERT_TRUE(report.completed) << GetParam() << ": " << report.error;
     (round == 0 ? first : second) = report.solution;
   }

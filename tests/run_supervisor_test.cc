@@ -3,10 +3,12 @@
 // at edge k and resuming from the checkpoint must finish with the
 // bit-identical cover, certificate and meter reading of an
 // uninterrupted run, on clean streams and on fault-injected ones.
-// Runs are driven through engine::Drive, the supervised drive loop.
+// Runs are driven through engine::Execute over caller-owned algorithm
+// instances, so each test can inspect the object afterwards.
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +22,8 @@
 #include "stream/orderings.h"
 #include "stream/stream_file.h"
 #include "util/rng.h"
+
+#include "per_edge_oracle.h"
 
 namespace setcover {
 namespace {
@@ -37,6 +41,20 @@ Fixture MakeFixture(uint64_t seed = 101) {
   Fixture fixture{GenerateUniformRandom(p, rng), {}};
   fixture.stream = RandomOrderStream(fixture.instance, rng);
   return fixture;
+}
+
+/// A run of `algorithm` (caller-owned) over `source`.
+engine::RunConfig Over(StreamingSetCoverAlgorithm& algorithm,
+                       engine::SourceSpec source) {
+  engine::RunConfig config;
+  config.algorithm_instance = &algorithm;
+  config.source = std::move(source);
+  return config;
+}
+
+engine::RunConfig Over(StreamingSetCoverAlgorithm& algorithm,
+                       const EdgeStream& stream) {
+  return Over(algorithm, engine::SourceSpec::InMemory(stream));
 }
 
 std::string CheckpointPath(const std::string& tag) {
@@ -74,9 +92,8 @@ TEST_P(SupervisorSweep, KillAndResumeIsBitIdentical) {
 
   // Uninterrupted reference run under the same supervisor.
   auto reference = MakeAlgorithmByName(GetParam(), {.seed = 21});
-  VectorEdgeSource reference_source(fixture.stream);
   engine::RunReport expected =
-      engine::Drive({}, *reference, reference_source);
+      engine::Execute(Over(*reference, fixture.stream));
   ASSERT_TRUE(expected.completed) << expected.error;
   ASSERT_EQ(expected.edges_delivered, fixture.stream.size());
 
@@ -84,24 +101,20 @@ TEST_P(SupervisorSweep, KillAndResumeIsBitIdentical) {
                      uint64_t{fixture.stream.size() - 1}}) {
     // Phase 1: run to edge k, checkpoint there, die.
     auto victim = MakeAlgorithmByName(GetParam(), {.seed = 21});
-    VectorEdgeSource victim_source(fixture.stream);
-    engine::DriveOptions kill_options;
-    kill_options.checkpoint_path = path;
-    kill_options.checkpoint_every = k;
-    kill_options.stop_after = k;
-    engine::RunReport killed =
-        engine::Drive(kill_options, *victim, victim_source);
+    engine::RunConfig kill_config = Over(*victim, fixture.stream);
+    kill_config.checkpoint.path = path;
+    kill_config.checkpoint.every = k;
+    kill_config.stop_after = k;
+    engine::RunReport killed = engine::Execute(kill_config);
     ASSERT_FALSE(killed.completed) << GetParam() << " k=" << k;
     ASSERT_EQ(killed.checkpoints_written, 1u) << GetParam() << " k=" << k;
 
     // Phase 2: fresh object, fresh source, resume, replay the tail.
     auto revived = MakeAlgorithmByName(GetParam(), {.seed = 999});
-    VectorEdgeSource revived_source(fixture.stream);
-    engine::DriveOptions resume_options;
-    resume_options.checkpoint_path = path;
-    resume_options.resume = true;
-    engine::RunReport resumed =
-        engine::Drive(resume_options, *revived, revived_source);
+    engine::RunConfig resume_config = Over(*revived, fixture.stream);
+    resume_config.checkpoint.path = path;
+    resume_config.checkpoint.resume = true;
+    engine::RunReport resumed = engine::Execute(resume_config);
     ASSERT_TRUE(resumed.completed)
         << GetParam() << " k=" << k << ": " << resumed.error;
     EXPECT_TRUE(resumed.resumed);
@@ -125,34 +138,29 @@ TEST_P(SupervisorSweep, KillAndResumeUnderFaultsIsBitIdentical) {
   const FaultSchedule schedule = FaultSchedule::AllKinds(17, 0.04);
 
   auto reference = MakeAlgorithmByName(GetParam(), {.seed = 23});
-  VectorEdgeSource reference_base(fixture.stream);
-  FaultInjector reference_source(&reference_base, schedule);
-  engine::RunReport expected =
-      engine::Drive({}, *reference, reference_source);
+  engine::RunConfig reference_config = Over(*reference, fixture.stream);
+  reference_config.faults = schedule;
+  engine::RunReport expected = engine::Execute(reference_config);
   ASSERT_TRUE(expected.completed) << expected.error;
 
   // Phase 1: checkpoint periodically, die mid-stream.
   auto victim = MakeAlgorithmByName(GetParam(), {.seed = 23});
-  VectorEdgeSource victim_base(fixture.stream);
-  FaultInjector victim_source(&victim_base, schedule);
-  engine::DriveOptions kill_options;
-  kill_options.checkpoint_path = path;
-  kill_options.checkpoint_every = 11;
-  kill_options.stop_after = 60;
-  engine::RunReport killed =
-      engine::Drive(kill_options, *victim, victim_source);
+  engine::RunConfig kill_config = Over(*victim, fixture.stream);
+  kill_config.faults = schedule;
+  kill_config.checkpoint.path = path;
+  kill_config.checkpoint.every = 11;
+  kill_config.stop_after = 60;
+  engine::RunReport killed = engine::Execute(kill_config);
   ASSERT_FALSE(killed.completed) << GetParam();
   ASSERT_GT(killed.checkpoints_written, 0u) << GetParam();
 
   // Phase 2: resume over an identically-faulty fresh source.
   auto revived = MakeAlgorithmByName(GetParam(), {.seed = 999});
-  VectorEdgeSource revived_base(fixture.stream);
-  FaultInjector revived_source(&revived_base, schedule);
-  engine::DriveOptions resume_options;
-  resume_options.checkpoint_path = path;
-  resume_options.resume = true;
-  engine::RunReport resumed =
-      engine::Drive(resume_options, *revived, revived_source);
+  engine::RunConfig resume_config = Over(*revived, fixture.stream);
+  resume_config.faults = schedule;
+  resume_config.checkpoint.path = path;
+  resume_config.checkpoint.resume = true;
+  engine::RunReport resumed = engine::Execute(resume_config);
   ASSERT_TRUE(resumed.completed) << GetParam() << ": " << resumed.error;
   EXPECT_TRUE(resumed.resumed);
 
@@ -196,34 +204,25 @@ TEST(RunSupervisorTest, KillAndResumeOverAnOnDiskStreamFile) {
   const std::string ckpt_path = CheckpointPath("on_disk");
   ASSERT_TRUE(WriteStreamFile(stream, stream_path));
 
-  std::string error;
-  auto reference_source = StreamFileSource::Open(stream_path, &error);
-  ASSERT_NE(reference_source, nullptr) << error;
+  const engine::SourceSpec file = engine::SourceSpec::File(stream_path);
   auto reference = MakeAlgorithmByName("random-order", {.seed = 31});
-  engine::RunReport expected =
-      engine::Drive({}, *reference, *reference_source);
+  engine::RunReport expected = engine::Execute(Over(*reference, file));
   ASSERT_TRUE(expected.completed) << expected.error;
 
-  auto victim_source = StreamFileSource::Open(stream_path, &error);
-  ASSERT_NE(victim_source, nullptr) << error;
   auto victim = MakeAlgorithmByName("random-order", {.seed = 31});
-  engine::DriveOptions kill_options;
-  kill_options.checkpoint_path = ckpt_path;
-  kill_options.checkpoint_every = 1000;
-  kill_options.stop_after = 5500;  // dies inside the second chunk
-  engine::RunReport killed =
-      engine::Drive(kill_options, *victim, *victim_source);
+  engine::RunConfig kill_config = Over(*victim, file);
+  kill_config.checkpoint.path = ckpt_path;
+  kill_config.checkpoint.every = 1000;
+  kill_config.stop_after = 5500;  // dies inside the second chunk
+  engine::RunReport killed = engine::Execute(kill_config);
   ASSERT_FALSE(killed.completed);
   ASSERT_GT(killed.checkpoints_written, 0u);
 
-  auto revived_source = StreamFileSource::Open(stream_path, &error);
-  ASSERT_NE(revived_source, nullptr) << error;
   auto revived = MakeAlgorithmByName("random-order", {.seed = 777});
-  engine::DriveOptions resume_options;
-  resume_options.checkpoint_path = ckpt_path;
-  resume_options.resume = true;
-  engine::RunReport resumed =
-      engine::Drive(resume_options, *revived, *revived_source);
+  engine::RunConfig resume_config = Over(*revived, file);
+  resume_config.checkpoint.path = ckpt_path;
+  resume_config.checkpoint.resume = true;
+  engine::RunReport resumed = engine::Execute(resume_config);
   ASSERT_TRUE(resumed.completed) << resumed.error;
   EXPECT_TRUE(resumed.resumed);
   EXPECT_EQ(resumed.resumed_at, 5000u);
@@ -255,9 +254,8 @@ TEST(RunSupervisorTest, KillAndResumeIsBitIdenticalAcrossFormats) {
   std::string error;
   engine::RunReport expected;
   {
-    VectorEdgeSource source(stream);
     auto reference = MakeAlgorithmByName("random-order", {.seed = 31});
-    expected = engine::Drive({}, *reference, source);
+    expected = engine::Execute(Over(*reference, stream));
     ASSERT_TRUE(expected.completed) << expected.error;
   }
 
@@ -273,29 +271,23 @@ TEST(RunSupervisorTest, KillAndResumeIsBitIdenticalAcrossFormats) {
           << error;
       StreamReadOptions read_options;
       read_options.prefetch = prefetch;
+      const engine::SourceSpec file =
+          engine::SourceSpec::File(stream_path, read_options);
 
-      auto victim_source =
-          StreamFileSource::Open(stream_path, read_options, &error);
-      ASSERT_NE(victim_source, nullptr) << error;
       auto victim = MakeAlgorithmByName("random-order", {.seed = 31});
-      engine::DriveOptions kill_options;
-      kill_options.checkpoint_path = ckpt_path;
-      kill_options.checkpoint_every = 1000;
-      kill_options.stop_after = 5500;
-      engine::RunReport killed =
-          engine::Drive(kill_options, *victim, *victim_source);
+      engine::RunConfig kill_config = Over(*victim, file);
+      kill_config.checkpoint.path = ckpt_path;
+      kill_config.checkpoint.every = 1000;
+      kill_config.stop_after = 5500;
+      engine::RunReport killed = engine::Execute(kill_config);
       ASSERT_FALSE(killed.completed) << label;
       ASSERT_GT(killed.checkpoints_written, 0u) << label;
 
-      auto revived_source =
-          StreamFileSource::Open(stream_path, read_options, &error);
-      ASSERT_NE(revived_source, nullptr) << error;
       auto revived = MakeAlgorithmByName("random-order", {.seed = 777});
-      engine::DriveOptions resume_options;
-      resume_options.checkpoint_path = ckpt_path;
-      resume_options.resume = true;
-      engine::RunReport resumed =
-          engine::Drive(resume_options, *revived, *revived_source);
+      engine::RunConfig resume_config = Over(*revived, file);
+      resume_config.checkpoint.path = ckpt_path;
+      resume_config.checkpoint.resume = true;
+      engine::RunReport resumed = engine::Execute(resume_config);
       ASSERT_TRUE(resumed.completed) << label << ": " << resumed.error;
       EXPECT_TRUE(resumed.resumed) << label;
       EXPECT_EQ(resumed.resumed_at, 5000u) << label;
@@ -334,11 +326,9 @@ TEST(RunSupervisorTest, ChecksumFailedChunkDegradesTheRun) {
   std::fputc(c ^ 0x10, f);
   std::fclose(f);
 
-  std::string error;
-  auto source = StreamFileSource::Open(path, &error);
-  ASSERT_NE(source, nullptr) << error;
   auto algorithm = MakeAlgorithmByName("kk", {.seed = 3});
-  engine::RunReport report = engine::Drive({}, *algorithm, *source);
+  engine::RunReport report =
+      engine::Execute(Over(*algorithm, engine::SourceSpec::File(path)));
 
   ASSERT_TRUE(report.completed) << report.error;
   EXPECT_TRUE(report.degraded);
@@ -355,14 +345,12 @@ TEST(RunSupervisorTest, SurvivesTransientFaultsWithBackoff) {
   schedule.transient_rate = 0.1;
   schedule.transient_failures = 2;
 
-  VectorEdgeSource base(fixture.stream);
-  FaultInjector source(&base, schedule);
   auto algorithm = MakeAlgorithmByName("kk", {.seed = 3});
-
   std::vector<uint64_t> slept;
-  engine::DriveOptions options;
-  options.sleeper = [&slept](uint64_t us) { slept.push_back(us); };
-  engine::RunReport report = engine::Drive(options, *algorithm, source);
+  engine::RunConfig config = Over(*algorithm, fixture.stream);
+  config.faults = schedule;
+  config.sleeper = [&slept](uint64_t us) { slept.push_back(us); };
+  engine::RunReport report = engine::Execute(config);
 
   ASSERT_TRUE(report.completed) << report.error;
   EXPECT_FALSE(report.degraded);
@@ -379,13 +367,11 @@ TEST(RunSupervisorTest, ExhaustedRetriesDegradeToCertifiedPartialCover) {
   schedule.transient_rate = 0.1;
   schedule.transient_failures = 1000;  // unrecoverable position
 
-  VectorEdgeSource base(fixture.stream);
-  FaultInjector source(&base, schedule);
   auto algorithm = MakeAlgorithmByName("kk", {.seed = 3});
-
-  engine::DriveOptions options;
-  options.backoff.max_retries = 4;
-  engine::RunReport report = engine::Drive(options, *algorithm, source);
+  engine::RunConfig config = Over(*algorithm, fixture.stream);
+  config.faults = schedule;
+  config.backoff.max_retries = 4;
+  engine::RunReport report = engine::Execute(config);
 
   ASSERT_TRUE(report.completed) << report.error;
   EXPECT_TRUE(report.degraded);
@@ -399,10 +385,16 @@ TEST(RunSupervisorTest, CorruptRecordsAreSkippedAndCounted) {
   schedule.seed = 13;
   schedule.corrupt_rate = 0.05;
 
+  auto algorithm = MakeAlgorithmByName("kk", {.seed = 3});
+  engine::RunConfig config = Over(*algorithm, fixture.stream);
+  config.faults = schedule;
+  engine::RunReport report = engine::Execute(config);
+
+  // What the injector did, read off the per-edge oracle.
   VectorEdgeSource base(fixture.stream);
   FaultInjector source(&base, schedule);
-  auto algorithm = MakeAlgorithmByName("kk", {.seed = 3});
-  engine::RunReport report = engine::Drive({}, *algorithm, source);
+  auto oracle = MakeAlgorithmByName("kk", {.seed = 3});
+  RunPerEdgeOracle(*oracle, source);
 
   ASSERT_TRUE(report.completed) << report.error;
   EXPECT_GT(report.corrupt_records_skipped, 0u);
@@ -418,12 +410,11 @@ TEST(RunSupervisorTest, RejectsCorruptedCheckpoint) {
   const std::string path = CheckpointPath("reject_corrupt");
 
   auto victim = MakeAlgorithmByName("kk", {.seed = 3});
-  VectorEdgeSource victim_source(fixture.stream);
-  engine::DriveOptions kill_options;
-  kill_options.checkpoint_path = path;
-  kill_options.checkpoint_every = 20;
-  kill_options.stop_after = 20;
-  engine::Drive(kill_options, *victim, victim_source);
+  engine::RunConfig kill_config = Over(*victim, fixture.stream);
+  kill_config.checkpoint.path = path;
+  kill_config.checkpoint.every = 20;
+  kill_config.stop_after = 20;
+  engine::Execute(kill_config);
 
   // Flip one byte mid-file; resume must refuse, not resume from garbage.
   std::FILE* f = std::fopen(path.c_str(), "r+b");
@@ -435,12 +426,10 @@ TEST(RunSupervisorTest, RejectsCorruptedCheckpoint) {
   std::fclose(f);
 
   auto revived = MakeAlgorithmByName("kk", {.seed = 3});
-  VectorEdgeSource revived_source(fixture.stream);
-  engine::DriveOptions resume_options;
-  resume_options.checkpoint_path = path;
-  resume_options.resume = true;
-  engine::RunReport report =
-      engine::Drive(resume_options, *revived, revived_source);
+  engine::RunConfig resume_config = Over(*revived, fixture.stream);
+  resume_config.checkpoint.path = path;
+  resume_config.checkpoint.resume = true;
+  engine::RunReport report = engine::Execute(resume_config);
   EXPECT_FALSE(report.completed);
   EXPECT_FALSE(report.error.empty());
   std::remove(path.c_str());
@@ -451,42 +440,38 @@ TEST(RunSupervisorTest, RejectsCheckpointFromAnotherAlgorithm) {
   const std::string path = CheckpointPath("reject_mismatch");
 
   auto victim = MakeAlgorithmByName("kk", {.seed = 3});
-  VectorEdgeSource victim_source(fixture.stream);
-  engine::DriveOptions kill_options;
-  kill_options.checkpoint_path = path;
-  kill_options.checkpoint_every = 20;
-  kill_options.stop_after = 20;
-  engine::Drive(kill_options, *victim, victim_source);
+  engine::RunConfig kill_config = Over(*victim, fixture.stream);
+  kill_config.checkpoint.path = path;
+  kill_config.checkpoint.every = 20;
+  kill_config.stop_after = 20;
+  engine::Execute(kill_config);
 
   auto other = MakeAlgorithmByName("first-set-patching", {.seed = 3});
-  VectorEdgeSource other_source(fixture.stream);
-  engine::DriveOptions resume_options;
-  resume_options.checkpoint_path = path;
-  resume_options.resume = true;
-  engine::RunReport report =
-      engine::Drive(resume_options, *other, other_source);
+  engine::RunConfig resume_config = Over(*other, fixture.stream);
+  resume_config.checkpoint.path = path;
+  resume_config.checkpoint.resume = true;
+  engine::RunReport report = engine::Execute(resume_config);
   EXPECT_FALSE(report.completed);
   EXPECT_NE(report.error.find("kk"), std::string::npos);
   std::remove(path.c_str());
 }
 
 TEST(RunSupervisorTest, NeverCheckpointsWhileSourceOwesAReplay) {
-  // With duplicates firing constantly and checkpoint_every = 1, every
+  // With duplicates firing constantly and checkpoint.every = 1, every
   // odd delivery happens while the injector owes the second copy; the
-  // supervisor must only write at true record boundaries.
+  // engine must only write at true record boundaries.
   Fixture fixture = MakeFixture();
   const std::string path = CheckpointPath("pending_replay");
   FaultSchedule schedule;
   schedule.seed = 3;
   schedule.duplicate_rate = 1.0;
 
-  VectorEdgeSource base(fixture.stream);
-  FaultInjector source(&base, schedule);
   auto algorithm = MakeAlgorithmByName("kk", {.seed = 3});
-  engine::DriveOptions options;
-  options.checkpoint_path = path;
-  options.checkpoint_every = 1;
-  engine::RunReport report = engine::Drive(options, *algorithm, source);
+  engine::RunConfig config = Over(*algorithm, fixture.stream);
+  config.faults = schedule;
+  config.checkpoint.path = path;
+  config.checkpoint.every = 1;
+  engine::RunReport report = engine::Execute(config);
 
   ASSERT_TRUE(report.completed) << report.error;
   EXPECT_EQ(report.edges_delivered, 2 * fixture.stream.size());
