@@ -4,23 +4,26 @@
 // this bench pins it down (items/s = edges/s).
 //
 // Ingestion goes through ProcessEdgeBatch in kIngestBatchEdges chunks —
-// the same path RunStream, RunStreamFromFile, and the run supervisor
-// use — so these numbers measure the deployed pipeline, not a
+// the same path RunStream and engine::Execute use — so these numbers
+// measure the deployed pipeline, not a
 // per-edge-virtual-call strawman. BM_NGuessThreads measures the
 // parallel multi-run driver across thread counts on the same stream.
 //
 // BM_FileReplay measures the on-disk replay path end to end (open →
-// decode → CRC → ProcessEdgeBatch) across the stream-file format and
-// decoder matrix. Row 0 (v2, stdio, synchronous) is the pre-v3
-// pipeline — the baseline the perf gate in scripts/check.sh compares
-// against; v3-mmap-prefetch is the shipping default.
+// map → decode → CRC → ProcessEdgeBatch, through engine::Execute)
+// across the stream-file format and decoder matrix; v3-mmap-prefetch
+// is the shipping default. The files live in a private temporary
+// directory, removed at exit, so concurrent runs never share one.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
+
+#include <unistd.h>
 
 #include "bench/bench_util.h"
 #include "core/adversarial_level.h"
@@ -290,44 +293,63 @@ BENCHMARK(BM_InstanceBuild)->Unit(benchmark::kMillisecond)->MinTime(0.5);
 struct ReplayConfig {
   const char* label;
   StreamFormat format;
-  bool use_mmap;
   bool prefetch;
 };
 
 constexpr ReplayConfig kReplayConfigs[] = {
-    // Row 0: the pre-v3 read pipeline (buffered stdio, synchronous
-    // decode) over the v2 format — the file-replay baseline.
-    {"file-replay/v2-stdio-sync", StreamFormat::kV2, false, false},
-    {"file-replay/v2-mmap-sync", StreamFormat::kV2, true, false},
-    {"file-replay/v2-mmap-prefetch", StreamFormat::kV2, true, true},
-    {"file-replay/v3-mmap-sync", StreamFormat::kV3, true, false},
-    {"file-replay/v3-mmap-prefetch", StreamFormat::kV3, true, true},
+    {"file-replay/v2-mmap-sync", StreamFormat::kV2, false},
+    {"file-replay/v2-mmap-prefetch", StreamFormat::kV2, true},
+    {"file-replay/v3-mmap-sync", StreamFormat::kV3, false},
+    {"file-replay/v3-mmap-prefetch", StreamFormat::kV3, true},
 };
 
-/// The shared stream written once per format, replayed by every
-/// BM_FileReplay row.
+/// The shared stream, written once per format into a private mkdtemp
+/// directory (so two concurrent runs never write the same file or its
+/// ".tmp" staging name) and removed with that directory at exit.
+class ReplayFiles {
+ public:
+  ReplayFiles() {
+    std::string dir = "/tmp";
+    if (const char* tmp = std::getenv("TMPDIR"); tmp != nullptr && *tmp)
+      dir = tmp;
+    dir += "/setcover_bench_replay.XXXXXX";
+    if (::mkdtemp(dir.data()) == nullptr) {
+      std::perror("bench: mkdtemp");
+      std::abort();
+    }
+    dir_ = dir;
+  }
+  ReplayFiles(const ReplayFiles&) = delete;
+  ReplayFiles& operator=(const ReplayFiles&) = delete;
+  ~ReplayFiles() {
+    for (const std::string& path : paths_)
+      if (!path.empty()) std::remove(path.c_str());
+    ::rmdir(dir_.c_str());
+  }
+
+  const std::string& Path(StreamFormat format) {
+    std::string& path = paths_[uint32_t(format)];
+    if (path.empty()) {
+      path = dir_ + "/replay_v" + std::to_string(uint32_t(format)) + ".bin";
+      std::string error;
+      if (!WriteStreamFile(SharedStream(), path, format, &error)) {
+        std::fprintf(stderr, "bench: cannot write %s: %s\n", path.c_str(),
+                     error.c_str());
+        std::abort();
+      }
+    }
+    return path;
+  }
+
+ private:
+  std::string dir_;
+  std::string paths_[4];  // indexed by format version
+};
+
+/// The replay file of `format`, shared by every BM_FileReplay row.
 const std::string& ReplayPath(StreamFormat format) {
-  static const std::string v2 = [] {
-    std::string path = "/tmp/setcover_bench_replay_v2.bin";
-    std::string error;
-    if (!WriteStreamFile(SharedStream(), path, StreamFormat::kV2, &error)) {
-      std::fprintf(stderr, "bench: cannot write %s: %s\n", path.c_str(),
-                   error.c_str());
-      std::abort();
-    }
-    return path;
-  }();
-  static const std::string v3 = [] {
-    std::string path = "/tmp/setcover_bench_replay_v3.bin";
-    std::string error;
-    if (!WriteStreamFile(SharedStream(), path, StreamFormat::kV3, &error)) {
-      std::fprintf(stderr, "bench: cannot write %s: %s\n", path.c_str(),
-                   error.c_str());
-      std::abort();
-    }
-    return path;
-  }();
-  return format == StreamFormat::kV3 ? v3 : v2;
+  static ReplayFiles files;
+  return files.Path(format);
 }
 
 uint64_t FileBytes(const std::string& path) {
@@ -347,18 +369,19 @@ void BM_FileReplay(benchmark::State& state) {
   const EdgeStream& stream = SharedStream();
   const std::string& path = ReplayPath(config.format);
   StreamReadOptions options;
-  options.use_mmap = config.use_mmap;
   options.prefetch = config.prefetch;
+  engine::RunConfig run;
+  run.source = engine::SourceSpec::File(path, options);
 
   for (auto _ : state) {
     FirstSetPatching algorithm;
-    std::string error;
-    auto solution = RunStreamFromFile(algorithm, path, options, &error);
-    if (!solution.has_value()) {
-      state.SkipWithError(error.c_str());
+    run.algorithm_instance = &algorithm;
+    engine::RunReport report = engine::Execute(run);
+    if (!report.completed) {
+      state.SkipWithError(report.error.c_str());
       break;
     }
-    benchmark::DoNotOptimize(solution);
+    benchmark::DoNotOptimize(report.solution.cover.size());
   }
   state.SetItemsProcessed(int64_t(state.iterations()) *
                           int64_t(stream.size()));
@@ -370,7 +393,7 @@ void BM_FileReplay(benchmark::State& state) {
 }
 
 BENCHMARK(BM_FileReplay)
-    ->DenseRange(0, 4)
+    ->DenseRange(0, 3)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()  // the prefetch worker carries part of the load
     ->MinTime(0.5);

@@ -3,19 +3,18 @@
 // and replay it through two algorithms without ever materializing it in
 // memory again — the deployment shape of a real one-pass system, where
 // the stream source is a log or a message queue rather than a vector.
-// Replay goes through the default read pipeline (mmap + background
-// prefetch decoder); pass StreamReadOptions to RunStreamFromFile to
-// turn either off.
+// Replay goes through engine::Execute over a file source: the file is
+// memory-mapped and decoded by the background prefetch decoder (set
+// StreamReadOptions::prefetch = false in SourceSpec::File to decode on
+// the calling thread instead).
 //
 //   $ ./build/examples/file_stream [work_dir]
 
 #include <cstdio>
 #include <string>
 
-#include "core/kk_algorithm.h"
-#include "core/random_order.h"
+#include "engine/engine.h"
 #include "instance/generators.h"
-#include "instance/validator.h"
 #include "stream/orderings.h"
 #include "stream/stream_file.h"
 #include "util/rng.h"
@@ -53,22 +52,20 @@ int main(int argc, char** argv) {
               double(stream.size()) * 8 / 1e6);
 
   // ...and replay it through algorithms that never see the whole thing.
-  struct Row {
-    const char* label;
-    StreamingSetCoverAlgorithm* algorithm;
-  };
-  KkAlgorithm kk(7);
-  RandomOrderAlgorithm alg1(7);
-  for (Row row : {Row{"kk", &kk}, Row{"random-order", &alg1}}) {
-    auto solution = RunStreamFromFile(*row.algorithm, path, &error);
-    if (!solution.has_value()) {
-      std::printf("replay failed: %s\n", error.c_str());
+  for (const char* name : {"kk", "random-order"}) {
+    engine::RunConfig config;
+    config.algorithm = name;
+    config.options.seed = 7;
+    config.source = engine::SourceSpec::File(path);
+    config.validate = &instance;
+    engine::RunReport report = engine::Execute(config);
+    if (!report.completed) {
+      std::printf("replay failed: %s\n", report.error.c_str());
       return 1;
     }
-    ValidationResult check = ValidateSolution(instance, *solution);
-    std::printf("%-14s cover=%4zu valid=%s peak_words=%zu\n", row.label,
-                solution->cover.size(), check.ok ? "yes" : "NO",
-                row.algorithm->Meter().PeakWords());
+    std::printf("%-14s cover=%4zu valid=%s peak_words=%zu\n", name,
+                report.solution.cover.size(),
+                report.validation.ok ? "yes" : "NO", report.peak_words);
   }
   std::remove(path.c_str());
   return 0;

@@ -38,6 +38,9 @@
 # t-party protocol is called only inside src/comm/, and no production
 # code does process control (fork / waitpid / execve) at all.
 #
+# Every build directory is configured with warnings as errors, so a
+# new -Wall -Wextra warning fails both modes.
+#
 # Usage: scripts/check.sh [--bench-smoke] [jobs]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -138,10 +141,13 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
   shift
 fi
 JOBS="${1:-$(nproc)}"
+# Every build directory compiles warning-free: -Wall -Wextra findings
+# fail the build (CMake's built-in COMPILE_WARNING_AS_ERROR, 3.24+).
+WERROR=-DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 
 if [[ "$BENCH_SMOKE" == "1" ]]; then
   echo "== bench smoke: Release build (build-release/) =="
-  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release $WERROR >/dev/null
 
   # Perf numbers from unoptimized builds are noise: refuse to gate on
   # them. The build dir must be Release, and so must the committed
@@ -287,7 +293,7 @@ EOF
   fi
 
   echo "== bench smoke: engine equivalence + stream formats + offline kernels + wire protocol + SIMD kernels under ASan+UBSan (build-asan/) =="
-  cmake -B build-asan -S . -DSETCOVER_SANITIZE=ON >/dev/null
+  cmake -B build-asan -S . -DSETCOVER_SANITIZE=ON $WERROR >/dev/null
   cmake --build build-asan -j "$JOBS" \
     --target engine_equivalence_test batch_equivalence_test \
              stream_format_test greedy_kernel_test instance_test \
@@ -321,7 +327,7 @@ EOF
   SETCOVER_SIMD_LEVEL=scalar build-asan/tests/batch_equivalence_test
 
   echo "== bench smoke: thread pool + multi-run-over-engine + prefetch decoder + session server under TSan (build-tsan/) =="
-  cmake -B build-tsan -S . -DSETCOVER_TSAN=ON >/dev/null
+  cmake -B build-tsan -S . -DSETCOVER_TSAN=ON $WERROR >/dev/null
   cmake --build build-tsan -j "$JOBS" \
     --target thread_pool_test multi_run_test batch_equivalence_test \
              prefetch_decoder_test session_server_test session_soak_test \
@@ -345,12 +351,12 @@ EOF
 fi
 
 echo "== plain build (build/) =="
-cmake -B build -S . >/dev/null
+cmake -B build -S . $WERROR >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build -j "$JOBS" --output-on-failure
 
 echo "== sanitized build (build-asan/) =="
-cmake -B build-asan -S . -DSETCOVER_SANITIZE=ON >/dev/null
+cmake -B build-asan -S . -DSETCOVER_SANITIZE=ON $WERROR >/dev/null
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan -j "$JOBS" --output-on-failure
 

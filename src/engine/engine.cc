@@ -25,7 +25,7 @@ double Seconds(Clock::time_point since) {
 
 /// The record supply of one Execute run under its schedule: span slices
 /// of an in-memory stream, or chunk spans of a stream file straight off
-/// the (possibly prefetching, possibly mmap'd) reader, replayed once per
+/// the (possibly prefetching) mapped reader, replayed once per
 /// scheduled pass. Positions are scheduled coordinates, pass · N +
 /// record, where N is the length of one pass.
 class ScheduledFeed {
@@ -278,28 +278,4 @@ RunReport Execute(const RunConfig& config) {
 }
 
 }  // namespace engine
-
-// RunStreamFromFile (declared in stream/stream_file.h) predates the
-// engine and survives as API surface for examples/tests/benches; it is
-// a thin client of Execute over a file source.
-std::optional<CoverSolution> RunStreamFromFile(
-    StreamingSetCoverAlgorithm& algorithm, const std::string& path,
-    const StreamReadOptions& options, std::string* error) {
-  engine::RunConfig config;
-  config.algorithm_instance = &algorithm;
-  config.source = engine::SourceSpec::File(path, options);
-  engine::RunReport report = engine::Execute(config);
-  if (!report.completed) {
-    if (error != nullptr) *error = report.error;
-    return std::nullopt;
-  }
-  return std::move(report.solution);
-}
-
-std::optional<CoverSolution> RunStreamFromFile(
-    StreamingSetCoverAlgorithm& algorithm, const std::string& path,
-    std::string* error) {
-  return RunStreamFromFile(algorithm, path, StreamReadOptions{}, error);
-}
-
 }  // namespace setcover

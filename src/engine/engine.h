@@ -30,7 +30,7 @@ namespace engine {
 ///   checkpoints) -> finalize -> validate
 ///
 /// returning one unified RunReport. BestOfRuns, the bench harnesses,
-/// RunStreamFromFile, and the CLI are all thin clients of this seam
+/// and the CLI are all thin clients of this seam
 /// (docs/architecture.md has the layer diagram); the only drive loop
 /// outside src/engine/ is the header-inline RunStream in
 /// core/streaming_algorithm.h, kept as the reference primitive that
@@ -44,8 +44,8 @@ namespace engine {
 
 /// Where a run's edges come from. Exactly one of `stream` (an in-memory
 /// materialized stream) or `path` (a binary stream file, format v1/v2/
-/// v3 auto-detected) must be set; `read_options` tunes the file
-/// backends (mmap on/off, background prefetch decoding on/off).
+/// v3 auto-detected, read through a memory mapping) must be set;
+/// `read_options` turns background prefetch decoding on or off.
 struct SourceSpec {
   const EdgeStream* stream = nullptr;
   std::string path;

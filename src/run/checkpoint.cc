@@ -76,8 +76,10 @@ bool WriteAtomically(std::vector<uint8_t>* bytes, const std::string& path,
   const bool wrote =
       std::fwrite(bytes->data(), 1, bytes->size(), f) == bytes->size() &&
       std::fflush(f) == 0;
-  std::fclose(f);
-  if (!wrote || std::rename(tmp.c_str(), path.c_str()) != 0) {
+  // A close can report a deferred write error; such a file must not
+  // replace the last good checkpoint.
+  const bool closed = std::fclose(f) == 0;
+  if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     if (error != nullptr) *error = "failed writing checkpoint " + path;
     return false;

@@ -98,17 +98,6 @@ bool PrefetchDecoder::FillBuffer() {
   return current_pos_ < current_.size();
 }
 
-bool PrefetchDecoder::Next(Edge* edge) {
-  if (checksum_failed_ || edges_read_ >= Meta().stream_length) return false;
-  if (!current_valid_ || current_pos_ >= current_.size()) {
-    if (truncated_) return false;
-    if (!FillBuffer()) return false;
-  }
-  *edge = current_[current_pos_++];
-  ++edges_read_;
-  return true;
-}
-
 std::span<const Edge> PrefetchDecoder::NextBatch() {
   if (checksum_failed_ || edges_read_ >= Meta().stream_length) return {};
   if (!current_valid_ || current_pos_ >= current_.size()) {
@@ -142,13 +131,10 @@ bool PrefetchDecoder::SeekToEdge(size_t index) {
 std::unique_ptr<BatchEdgeReader> OpenBatchEdgeReader(
     const std::string& path, const StreamReadOptions& options,
     std::string* error) {
-  auto reader = StreamFileReader::Open(path, options, error);
+  auto reader = StreamFileReader::Open(path, error);
   if (reader == nullptr) return nullptr;
   if (!options.prefetch) return reader;
   return PrefetchDecoder::Create(std::move(reader));
 }
-
-// RunStreamFromFile is implemented in engine/engine.cc as a thin client
-// of engine::Execute over a file source.
 
 }  // namespace setcover

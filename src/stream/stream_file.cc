@@ -21,8 +21,8 @@ constexpr size_t kChunkEdges = 4096;
 // stay aligned with chunk boundaries.
 static_assert(kChunkEdges == kIngestBatchEdges,
               "stream-file chunk capacity must match kIngestBatchEdges");
-// The mmap backend serves v1/v2 payloads as Edge spans straight out of
-// the mapping; that requires the on-disk layout to be the in-memory
+// The reader serves v1/v2 payloads as Edge spans straight out of the
+// mapping; that requires the on-disk layout to be the in-memory
 // layout and every payload offset to be Edge-aligned (header offsets
 // 24/28/36 and the v2 chunk stride are all multiples of 4).
 static_assert(sizeof(Edge) == 8 && alignof(Edge) <= 4,
@@ -165,29 +165,8 @@ bool WriteStreamFile(const EdgeStream& stream, const std::string& path,
 
 std::unique_ptr<StreamFileReader> StreamFileReader::Open(
     const std::string& path, std::string* error) {
-  return Open(path, StreamReadOptions{}, error);
-}
-
-std::unique_ptr<StreamFileReader> StreamFileReader::Open(
-    const std::string& path, const StreamReadOptions& options,
-    std::string* error) {
   auto reader = std::unique_ptr<StreamFileReader>(new StreamFileReader());
-  if (options.use_mmap && reader->map_.Open(path, error)) {
-    reader->file_size_ = reader->map_.size();
-  } else {
-    // Portable fallback (also the explicit choice when use_mmap is
-    // off): plain stdio with per-chunk reads.
-    reader->file_ = std::fopen(path.c_str(), "rb");
-    if (reader->file_ == nullptr) {
-      FailErrno(error, ("cannot open " + path).c_str());
-      return nullptr;
-    }
-    if (std::fseek(reader->file_, 0, SEEK_END) != 0) {
-      FailErrno(error, ("cannot size " + path).c_str());
-      return nullptr;
-    }
-    reader->file_size_ = static_cast<uint64_t>(std::ftell(reader->file_));
-  }
+  if (!reader->map_.Open(path, error)) return nullptr;
 
   auto fail = [&](const char* msg) -> std::unique_ptr<StreamFileReader> {
     if (error != nullptr) *error = msg;
@@ -228,18 +207,10 @@ std::unique_ptr<StreamFileReader> StreamFileReader::Open(
   return reader;
 }
 
-StreamFileReader::~StreamFileReader() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
 bool StreamFileReader::ReadRaw(uint64_t offset, void* out, size_t bytes) {
-  if (map_.IsOpen()) {
-    if (offset + bytes > file_size_) return false;
-    std::memcpy(out, map_.data() + offset, bytes);
-    return true;
-  }
-  if (std::fseek(file_, long(offset), SEEK_SET) != 0) return false;
-  return std::fread(out, 1, bytes, file_) == bytes;
+  if (offset + bytes > map_.size()) return false;
+  std::memcpy(out, map_.data() + offset, bytes);
+  return true;
 }
 
 size_t StreamFileReader::NumChunks() const {
@@ -249,7 +220,7 @@ size_t StreamFileReader::NumChunks() const {
 bool StreamFileReader::LoadV3Offsets(std::string*) {
   const size_t chunks = NumChunks();
   v3_offsets_.clear();
-  v3_data_end_ = file_size_;
+  v3_data_end_ = map_.size();
   if (chunks == 0) return true;
 
   // Fast path: the trailing index, validated end to end (footer magic,
@@ -257,15 +228,15 @@ bool StreamFileReader::LoadV3Offsets(std::string*) {
   // trusted.
   const uint64_t index_bytes = uint64_t(chunks) * sizeof(uint64_t);
   uint8_t footer[kFooterBytesV3];
-  if (file_size_ >= kHeaderBytesV2 + index_bytes + kFooterBytesV3 &&
-      ReadRaw(file_size_ - kFooterBytesV3, footer, kFooterBytesV3)) {
+  if (map_.size() >= kHeaderBytesV2 + index_bytes + kFooterBytesV3 &&
+      ReadRaw(map_.size() - kFooterBytesV3, footer, kFooterBytesV3)) {
     uint32_t index_crc = 0;
     uint64_t index_offset = 0;
     std::memcpy(&index_crc, footer, 4);
     std::memcpy(&index_offset, footer + 4, 8);
     if (std::memcmp(footer + 12, kIndexMagic, 4) == 0 &&
         index_offset >= kHeaderBytesV2 &&
-        index_offset + index_bytes + kFooterBytesV3 == file_size_) {
+        index_offset + index_bytes + kFooterBytesV3 == map_.size()) {
       std::vector<uint64_t> offsets(chunks);
       if (ReadRaw(index_offset, offsets.data(), index_bytes) &&
           Crc32c(offsets.data(), index_bytes) == index_crc) {
@@ -288,7 +259,7 @@ bool StreamFileReader::LoadV3Offsets(std::string*) {
   uint64_t offset = kHeaderBytesV2;
   for (size_t chunk = 0; chunk < chunks; ++chunk) {
     uint8_t chunk_header[kChunkHeaderBytesV3];
-    if (offset + kChunkHeaderBytesV3 > file_size_ ||
+    if (offset + kChunkHeaderBytesV3 > map_.size() ||
         !ReadRaw(offset, chunk_header, kChunkHeaderBytesV3)) {
       break;
     }
@@ -296,7 +267,7 @@ bool StreamFileReader::LoadV3Offsets(std::string*) {
     uint32_t payload_bytes = 0;
     std::memcpy(&payload_bytes, chunk_header + 4, 4);
     offset += kChunkHeaderBytesV3 + payload_bytes;
-    if (offset > file_size_) break;  // truncated payload; chunk recorded
+    if (offset > map_.size()) break;  // truncated payload; chunk recorded
   }
   return true;
 }
@@ -311,23 +282,12 @@ bool StreamFileReader::DecodeChunk(size_t chunk, DecodedChunk* out) {
   if (version_ == kVersionV1) {
     const uint64_t offset = ChunkFileOffsetV1(chunk);
     // No checksums in v1: surface whatever prefix of the chunk exists.
-    if (map_.IsOpen()) {
-      const uint64_t avail =
-          offset < file_size_ ? (file_size_ - offset) / sizeof(Edge) : 0;
-      const size_t got = std::min(want, size_t(avail));
-      out->edges = std::span<const Edge>(
-          reinterpret_cast<const Edge*>(map_.data() + offset), got);
-      out->truncated = got < want;
-    } else {
-      out->storage.resize(want);
-      size_t got = 0;
-      if (std::fseek(file_, long(offset), SEEK_SET) == 0) {
-        got = std::fread(out->storage.data(), sizeof(Edge), want, file_);
-      }
-      out->storage.resize(got);
-      out->edges = std::span<const Edge>(out->storage);
-      out->truncated = got < want;
-    }
+    const uint64_t avail =
+        offset < map_.size() ? (map_.size() - offset) / sizeof(Edge) : 0;
+    const size_t got = std::min(want, size_t(avail));
+    out->edges = std::span<const Edge>(
+        reinterpret_cast<const Edge*>(map_.data() + offset), got);
+    out->truncated = got < want;
     return true;
   }
 
@@ -350,32 +310,19 @@ bool StreamFileReader::DecodeChunk(size_t chunk, DecodedChunk* out) {
     }
     const uint64_t payload_offset = offset + kChunkHeaderBytesV2;
     const size_t payload_bytes = want * sizeof(Edge);
-    if (map_.IsOpen()) {
-      if (payload_offset + payload_bytes > file_size_) {
-        out->truncated = true;
-        return true;
-      }
-      const uint8_t* payload = map_.data() + payload_offset;
-      if (Crc32(payload, payload_bytes) != stored_crc) {
-        out->checksum_failed = true;
-        return true;
-      }
-      // Zero-copy: the CRC-verified payload is served straight from
-      // the mapping.
-      out->edges = std::span<const Edge>(
-          reinterpret_cast<const Edge*>(payload), want);
-    } else {
-      out->storage.resize(want);
-      if (!ReadRaw(payload_offset, out->storage.data(), payload_bytes)) {
-        out->truncated = true;
-        return true;
-      }
-      if (Crc32(out->storage.data(), payload_bytes) != stored_crc) {
-        out->checksum_failed = true;
-        return true;
-      }
-      out->edges = std::span<const Edge>(out->storage);
+    if (payload_offset + payload_bytes > map_.size()) {
+      out->truncated = true;
+      return true;
     }
+    const uint8_t* payload = map_.data() + payload_offset;
+    if (Crc32(payload, payload_bytes) != stored_crc) {
+      out->checksum_failed = true;
+      return true;
+    }
+    // Zero-copy: the CRC-verified payload is served straight from the
+    // mapping.
+    out->edges =
+        std::span<const Edge>(reinterpret_cast<const Edge*>(payload), want);
     return true;
   }
 
@@ -405,17 +352,7 @@ bool StreamFileReader::DecodeChunk(size_t chunk, DecodedChunk* out) {
     out->truncated = true;
     return true;
   }
-  const uint8_t* payload = nullptr;
-  if (map_.IsOpen()) {
-    payload = map_.data() + payload_offset;
-  } else {
-    out->scratch.resize(payload_bytes);
-    if (!ReadRaw(payload_offset, out->scratch.data(), payload_bytes)) {
-      out->truncated = true;
-      return true;
-    }
-    payload = out->scratch.data();
-  }
+  const uint8_t* payload = map_.data() + payload_offset;
   if (Crc32c(payload, payload_bytes) != stored_crc) {
     out->checksum_failed = true;
     return true;
@@ -463,17 +400,6 @@ bool StreamFileReader::FillBuffer() {
   if (current_.truncated) truncated_ = true;
   current_pos_ = edges_read_ - chunk * kChunkEdges;
   return current_pos_ < current_.edges.size();
-}
-
-bool StreamFileReader::Next(Edge* edge) {
-  if (checksum_failed_ || edges_read_ >= meta_.stream_length) return false;
-  if (!current_valid_ || current_pos_ >= current_.edges.size()) {
-    if (truncated_) return false;  // already hit the end of the file
-    if (!FillBuffer()) return false;
-  }
-  *edge = current_.edges[current_pos_++];
-  ++edges_read_;
-  return true;
 }
 
 std::span<const Edge> StreamFileReader::NextBatch() {

@@ -1,9 +1,7 @@
 #ifndef SETCOVER_STREAM_STREAM_FILE_H_
 #define SETCOVER_STREAM_STREAM_FILE_H_
 
-#include <cstdio>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -60,11 +58,12 @@ namespace setcover {
 /// Writers stage into `path + ".tmp"` and atomically rename, so a
 /// crash mid-write never leaves a half-valid file at `path`. Writers
 /// fail (returning false with an errno-derived *error) on I/O errors;
-/// the reader validates the header and surfaces truncation/corruption
-/// via flags rather than crashing.
+/// the reader maps the file (stream/mmap_file.h), validates the header
+/// and surfaces truncation/corruption via flags rather than crashing.
 
-/// On-disk format selector for WriteStreamFile. kV1 exists for
-/// compatibility tests; new files should be kV3 (the CLI default).
+/// On-disk format selector for WriteStreamFile. New files should be
+/// kV3 (what the CLI writes); kV2 remains for the v2 replay rows of
+/// bench_throughput, kV1 for compatibility tests.
 enum class StreamFormat : uint32_t { kV1 = 1, kV2 = 2, kV3 = 3 };
 
 /// Writes `stream` to `path` in the requested format. On failure
@@ -74,24 +73,12 @@ enum class StreamFormat : uint32_t { kV1 = 1, kV2 = 2, kV3 = 3 };
 bool WriteStreamFile(const EdgeStream& stream, const std::string& path,
                      StreamFormat format, std::string* error);
 
-/// Legacy two-argument writer: format v2, errors reported only as
-/// `false` (byte layout relied on by existing corruption tests).
-inline bool WriteStreamFile(const EdgeStream& stream,
-                            const std::string& path) {
-  return WriteStreamFile(stream, path, StreamFormat::kV2, nullptr);
-}
-
 /// How to read a stream file back.
 struct StreamReadOptions {
-  /// Map the file and decode straight out of the page cache (zero-copy
-  /// for v1/v2 payloads). Falls back to the portable stdio reader when
-  /// the platform has no mmap or the mapping fails.
-  bool use_mmap = true;
-
   /// Decode and CRC-check chunks on a background pipeline thread, one
   /// pipeline unit ahead of the consumer (stream/prefetch_decoder.h).
-  /// Honoured by OpenBatchEdgeReader, and so by engine::Execute and
-  /// RunStreamFromFile; a bare StreamFileReader is always synchronous.
+  /// Honoured by OpenBatchEdgeReader, and so by engine::Execute; a bare
+  /// StreamFileReader is always synchronous.
   bool prefetch = true;
 };
 
@@ -108,10 +95,6 @@ class BatchEdgeReader {
   /// Format version of the open file (1, 2 or 3).
   virtual uint32_t Version() const = 0;
 
-  /// Reads the next edge into *edge; returns false at end of stream,
-  /// after truncation, or after a checksum failure.
-  virtual bool Next(Edge* edge) = 0;
-
   /// Returns the remainder of the current CRC-verified chunk (decoding
   /// the next chunk when the buffer is drained) and advances the
   /// cursor past it — at most kIngestBatchEdges edges, exactly a chunk
@@ -120,9 +103,9 @@ class BatchEdgeReader {
   /// reader-owned storage and is invalidated by the next read or seek.
   virtual std::span<const Edge> NextBatch() = 0;
 
-  /// Repositions the cursor so the next Next() yields edge `index`
-  /// (0-based; `index` may equal N to position at end). Returns false
-  /// on an out-of-range index. The containing chunk is decoded and
+  /// Repositions the cursor so the next NextBatch() starts at edge
+  /// `index` (0-based; `index` may equal N to position at end). Returns
+  /// false on an out-of-range index. The containing chunk is decoded and
   /// CRC-verified on the following read; damage there surfaces as an
   /// ended stream with Truncated()/ChecksumFailed() set — never as
   /// garbage edges.
@@ -140,49 +123,38 @@ class BatchEdgeReader {
   virtual size_t EdgesRead() const = 0;
 };
 
-/// Incremental synchronous reader: opens the file, exposes the
-/// metadata, and yields edges chunk by chunk without materializing the
-/// stream. With the mmap backend, v1/v2 batches are served zero-copy
-/// straight out of the mapping.
+/// Incremental synchronous reader: maps the file, exposes the metadata,
+/// and yields edges chunk by chunk without materializing the stream.
+/// v1/v2 batches are served zero-copy straight out of the mapping.
 class StreamFileReader : public BatchEdgeReader {
  public:
-  /// Opens `path` with default options (mmap preferred). Returns
-  /// nullptr (and sets *error) on a missing file or malformed header
-  /// (bad magic, bad version, header CRC mismatch).
+  /// Maps `path`. Returns nullptr (and sets *error) when the file
+  /// cannot be opened or mapped, or on a malformed header (bad magic,
+  /// bad version, header CRC mismatch).
   static std::unique_ptr<StreamFileReader> Open(const std::string& path,
                                                 std::string* error);
-  static std::unique_ptr<StreamFileReader> Open(
-      const std::string& path, const StreamReadOptions& options,
-      std::string* error);
 
-  ~StreamFileReader() override;
   StreamFileReader(const StreamFileReader&) = delete;
   StreamFileReader& operator=(const StreamFileReader&) = delete;
 
   const StreamMetadata& Meta() const override { return meta_; }
   uint32_t Version() const override { return version_; }
-  bool Next(Edge* edge) override;
   std::span<const Edge> NextBatch() override;
   bool SeekToEdge(size_t index) override;
   bool Truncated() const override { return truncated_; }
   bool ChecksumFailed() const override { return checksum_failed_; }
   size_t EdgesRead() const override { return edges_read_; }
 
-  /// True when the reader serves reads from a memory mapping rather
-  /// than stdio.
-  bool UsesMmap() const { return map_.IsOpen(); }
-
   /// Chunks the open file declares (⌈N / 4096⌉), whether or not they
   /// all survive on disk.
   size_t NumChunks() const;
 
   /// One decoded chunk plus its damage report. `edges` aliases either
-  /// `storage` or, for zero-copy formats on the mmap backend, the
-  /// mapping itself; it stays valid until the DecodedChunk is reused
-  /// or the reader is destroyed.
+  /// `storage` (v3) or, for the zero-copy v1/v2 formats, the mapping
+  /// itself; it stays valid until the DecodedChunk is reused or the
+  /// reader is destroyed.
   struct DecodedChunk {
     std::vector<Edge> storage;
-    std::vector<uint8_t> scratch;  // stdio-backend payload staging
     std::span<const Edge> edges;
     bool truncated = false;
     bool checksum_failed = false;
@@ -192,10 +164,9 @@ class StreamFileReader : public BatchEdgeReader {
   /// false only when `chunk >= NumChunks()`. Damage is reported in the
   /// DecodedChunk, and a damaged chunk never exposes payload edges
   /// (except v1, which has no checksums and surfaces the intact
-  /// prefix). Does not move the reader's cursor. With the mmap backend
-  /// this is safe to call from a thread other than the cursor's — the
-  /// contract the prefetch decoder is built on; the stdio backend must
-  /// only ever be driven by one thread at a time.
+  /// prefix). Does not move the reader's cursor. Safe to call from a
+  /// thread other than the cursor's (the mapping is immutable) — the
+  /// contract the prefetch decoder is built on.
   bool DecodeChunk(size_t chunk, DecodedChunk* out);
 
  private:
@@ -205,8 +176,6 @@ class StreamFileReader : public BatchEdgeReader {
   bool ReadRaw(uint64_t offset, void* out, size_t bytes);
 
   MmapFile map_;
-  std::FILE* file_ = nullptr;
-  uint64_t file_size_ = 0;
   StreamMetadata meta_;
   uint32_t version_ = 0;
   size_t edges_read_ = 0;
@@ -233,16 +202,6 @@ class StreamFileReader : public BatchEdgeReader {
 /// stream/prefetch_decoder.cc.
 std::unique_ptr<BatchEdgeReader> OpenBatchEdgeReader(
     const std::string& path, const StreamReadOptions& options,
-    std::string* error);
-
-/// Streams a whole file through `algorithm` (Begin → batches →
-/// Finalize), decoding per `options`. Returns std::nullopt (with
-/// *error) if the file cannot be opened.
-std::optional<CoverSolution> RunStreamFromFile(
-    StreamingSetCoverAlgorithm& algorithm, const std::string& path,
-    const StreamReadOptions& options, std::string* error);
-std::optional<CoverSolution> RunStreamFromFile(
-    StreamingSetCoverAlgorithm& algorithm, const std::string& path,
     std::string* error);
 
 }  // namespace setcover

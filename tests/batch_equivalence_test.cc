@@ -151,8 +151,8 @@ TEST_P(BatchEquivalence, SupervisedFaultyDeliveryMatchesPerEdge) {
 }
 
 // Replaying the same stream from disk must be bit-identical to the
-// in-memory run regardless of the file format it was stored in, which
-// backend read it, and whether the pipeline decoder was in front — the
+// in-memory run regardless of the file format it was stored in and
+// whether the pipeline decoder was in front — the
 // contract that makes v3 + prefetch a pure performance change.
 TEST_P(BatchEquivalence, FileReplayMatchesInMemoryAcrossFormats) {
   const EdgeStream& stream = TestStream();
@@ -169,26 +169,21 @@ TEST_P(BatchEquivalence, FileReplayMatchesInMemoryAcrossFormats) {
     std::string error;
     ASSERT_TRUE(WriteStreamFile(stream, path, format, &error)) << error;
     for (bool prefetch : {false, true}) {
-      for (bool use_mmap : {true, false}) {
-        StreamReadOptions options;
-        options.prefetch = prefetch;
-        options.use_mmap = use_mmap;
-        auto reader = OpenBatchEdgeReader(path, options, &error);
-        ASSERT_NE(reader, nullptr) << error;
-        auto algorithm = MakeAlgorithmByName(GetParam(), {});
-        algorithm->Begin(reader->Meta());
-        for (std::span<const Edge> batch = reader->NextBatch();
-             !batch.empty(); batch = reader->NextBatch()) {
-          algorithm->ProcessEdgeBatch(batch);
-        }
-        Observed observed;
-        Capture(*algorithm, &observed);
-        ExpectIdentical(reference, observed,
-                        GetParam() + " v" +
-                            std::to_string(uint32_t(format)) +
-                            (prefetch ? " prefetch" : " sync") +
-                            (use_mmap ? " mmap" : " stdio"));
+      StreamReadOptions options;
+      options.prefetch = prefetch;
+      auto reader = OpenBatchEdgeReader(path, options, &error);
+      ASSERT_NE(reader, nullptr) << error;
+      auto algorithm = MakeAlgorithmByName(GetParam(), {});
+      algorithm->Begin(reader->Meta());
+      for (std::span<const Edge> batch = reader->NextBatch(); !batch.empty();
+           batch = reader->NextBatch()) {
+        algorithm->ProcessEdgeBatch(batch);
       }
+      Observed observed;
+      Capture(*algorithm, &observed);
+      ExpectIdentical(reference, observed,
+                      GetParam() + " v" + std::to_string(uint32_t(format)) +
+                          (prefetch ? " prefetch" : " sync"));
     }
     std::remove(path.c_str());
   }

@@ -6,13 +6,16 @@
 
 #include "stream/prefetch_decoder.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include <gtest/gtest.h>
 
 #include "core/kk_algorithm.h"
+#include "engine/engine.h"
 #include "instance/generators.h"
 #include "stream/orderings.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace setcover {
@@ -60,14 +63,9 @@ TEST_P(PrefetchFormats, EdgeSequenceMatchesSyncReader) {
       StreamFileReader::Open(path, &error));
   ASSERT_NE(prefetch, nullptr) << error;
 
-  Edge expected, actual;
-  size_t i = 0;
-  while (sync_reader->Next(&expected)) {
-    ASSERT_TRUE(prefetch->Next(&actual)) << "edge " << i;
-    ASSERT_EQ(actual, expected) << "edge " << i;
-    ++i;
-  }
-  EXPECT_FALSE(prefetch->Next(&actual));
+  const std::vector<Edge> expected = ReadEdges(*sync_reader);
+  EXPECT_EQ(ReadEdges(*prefetch), expected);
+  EXPECT_TRUE(prefetch->NextBatch().empty());
   EXPECT_EQ(prefetch->EdgesRead(), stream.size());
   EXPECT_FALSE(prefetch->Truncated());
   EXPECT_FALSE(prefetch->ChecksumFailed());
@@ -108,35 +106,36 @@ TEST_P(PrefetchFormats, InterleavedSeeksMatchSyncReader) {
   for (int round = 0; round < 20; ++round) {
     size_t index = size_t(rng.UniformInt(stream.size()));
     ASSERT_TRUE(prefetch->SeekToEdge(index));
-    Edge edge;
-    for (size_t k = 0; k < 300 && index + k < stream.size(); ++k) {
-      ASSERT_TRUE(prefetch->Next(&edge)) << "round " << round;
-      ASSERT_EQ(edge, stream.edges[index + k]) << "round " << round;
-    }
+    const size_t want = std::min<size_t>(300, stream.size() - index);
+    const std::vector<Edge> landed = ReadEdges(*prefetch, want);
+    ASSERT_EQ(landed.size(), want) << "round " << round;
+    ASSERT_TRUE(std::equal(landed.begin(), landed.end(),
+                           stream.edges.begin() + index))
+        << "round " << round;
   }
 }
 
-TEST_P(PrefetchFormats, RunStreamFromFileIsBitIdenticalEitherWay) {
+TEST_P(PrefetchFormats, ExecuteIsBitIdenticalEitherWay) {
   const EdgeStream& stream = PipelineStream();
   std::string path = WriteFormat(stream, "pf_run_v" + std::to_string(uint32_t(GetParam())) + ".bin", GetParam());
 
-  std::string error;
-  StreamReadOptions sync_options;
-  sync_options.prefetch = false;
-  KkAlgorithm sync_algorithm(5);
-  auto sync_solution =
-      RunStreamFromFile(sync_algorithm, path, sync_options, &error);
-  ASSERT_TRUE(sync_solution.has_value()) << error;
+  auto run = [&](bool prefetch) {
+    StreamReadOptions options;
+    options.prefetch = prefetch;
+    KkAlgorithm algorithm(5);
+    engine::RunConfig config;
+    config.algorithm_instance = &algorithm;
+    config.source = engine::SourceSpec::File(path, options);
+    return engine::Execute(config);
+  };
+  const engine::RunReport sync_report = run(false);
+  ASSERT_TRUE(sync_report.completed) << sync_report.error;
+  const engine::RunReport prefetch_report = run(true);
+  ASSERT_TRUE(prefetch_report.completed) << prefetch_report.error;
 
-  StreamReadOptions prefetch_options;
-  prefetch_options.prefetch = true;
-  KkAlgorithm prefetch_algorithm(5);
-  auto prefetch_solution =
-      RunStreamFromFile(prefetch_algorithm, path, prefetch_options, &error);
-  ASSERT_TRUE(prefetch_solution.has_value()) << error;
-
-  EXPECT_EQ(prefetch_solution->cover, sync_solution->cover);
-  EXPECT_EQ(prefetch_solution->certificate, sync_solution->certificate);
+  EXPECT_EQ(prefetch_report.solution.cover, sync_report.solution.cover);
+  EXPECT_EQ(prefetch_report.solution.certificate,
+            sync_report.solution.certificate);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFormats, PrefetchFormats,
@@ -164,19 +163,17 @@ TEST(PrefetchDecoderTest, CorruptChunkEndsTheStreamWithFlags) {
   auto prefetch = PrefetchDecoder::Create(
       StreamFileReader::Open(path, &error));
   ASSERT_NE(prefetch, nullptr) << error;
-  Edge edge;
-  size_t surfaced = 0;
-  while (prefetch->Next(&edge)) {
-    ASSERT_EQ(edge, stream.edges[surfaced]);
-    ++surfaced;
-  }
-  EXPECT_LT(surfaced, stream.size());
+  const std::vector<Edge> surfaced = ReadEdges(*prefetch);
+  ASSERT_LT(surfaced.size(), stream.size());
+  EXPECT_TRUE(std::equal(surfaced.begin(), surfaced.end(),
+                         stream.edges.begin()));
   EXPECT_TRUE(prefetch->ChecksumFailed() || prefetch->Truncated());
 
   // A seek back into the intact prefix recovers it.
   ASSERT_TRUE(prefetch->SeekToEdge(0));
-  ASSERT_TRUE(prefetch->Next(&edge));
-  EXPECT_EQ(edge, stream.edges[0]);
+  std::span<const Edge> batch = prefetch->NextBatch();
+  ASSERT_FALSE(batch.empty());
+  EXPECT_EQ(batch[0], stream.edges[0]);
 }
 
 TEST(PrefetchDecoderTest, DestructionMidStreamJoinsCleanly) {
@@ -189,9 +186,7 @@ TEST(PrefetchDecoderTest, DestructionMidStreamJoinsCleanly) {
     auto prefetch = PrefetchDecoder::Create(
         StreamFileReader::Open(path, &error));
     ASSERT_NE(prefetch, nullptr) << error;
-    Edge edge;
-    for (size_t i = 0; i < reads && prefetch->Next(&edge); ++i) {
-    }
+    ReadEdges(*prefetch, reads);
   }
 }
 
@@ -207,9 +202,9 @@ TEST(PrefetchDecoderTest, RepeatedSeekStressRestartsThePipeline) {
   for (int round = 0; round < 100; ++round) {
     size_t index = (size_t(round) * 1237) % stream.size();
     ASSERT_TRUE(prefetch->SeekToEdge(index));
-    Edge edge;
-    ASSERT_TRUE(prefetch->Next(&edge));
-    ASSERT_EQ(edge, stream.edges[index]);
+    std::span<const Edge> batch = prefetch->NextBatch();
+    ASSERT_FALSE(batch.empty());
+    ASSERT_EQ(batch[0], stream.edges[index]);
   }
 }
 

@@ -202,7 +202,8 @@ TEST(RunSupervisorTest, KillAndResumeOverAnOnDiskStreamFile) {
 
   const std::string stream_path = testing::TempDir() + "supervisor.sces";
   const std::string ckpt_path = CheckpointPath("on_disk");
-  ASSERT_TRUE(WriteStreamFile(stream, stream_path));
+  ASSERT_TRUE(
+      WriteStreamFile(stream, stream_path, StreamFormat::kV2, nullptr));
 
   const engine::SourceSpec file = engine::SourceSpec::File(stream_path);
   auto reference = MakeAlgorithmByName("random-order", {.seed = 31});
@@ -317,7 +318,7 @@ TEST(RunSupervisorTest, ChecksumFailedChunkDegradesTheRun) {
   ASSERT_GT(stream.size(), size_t{4096});
 
   const std::string path = testing::TempDir() + "degraded.sces";
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  ASSERT_TRUE(WriteStreamFile(stream, path, StreamFormat::kV2, nullptr));
   std::FILE* f = std::fopen(path.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
   std::fseek(f, 28 + 8 + 4096 * 8 + 8 + 100, SEEK_SET);  // chunk 1 payload

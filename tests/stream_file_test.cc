@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include "core/kk_algorithm.h"
+#include "engine/engine.h"
 #include "instance/generators.h"
 #include "instance/validator.h"
 #include "stream/orderings.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace setcover {
@@ -28,10 +30,15 @@ std::string TempPath(const char* name) {
   return testing::TempDir() + "/" + name;
 }
 
+/// These tests pin the v2 byte layout (chunk headers at fixed offsets).
+bool WriteV2(const EdgeStream& stream, const std::string& path) {
+  return WriteStreamFile(stream, path, StreamFormat::kV2, nullptr);
+}
+
 TEST(StreamFileTest, RoundTrip) {
   auto stream = TestStream(1);
   std::string path = TempPath("roundtrip.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  ASSERT_TRUE(WriteV2(stream, path));
 
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
@@ -40,14 +47,7 @@ TEST(StreamFileTest, RoundTrip) {
   EXPECT_EQ(reader->Meta().num_elements, stream.meta.num_elements);
   EXPECT_EQ(reader->Meta().stream_length, stream.meta.stream_length);
 
-  Edge edge;
-  size_t i = 0;
-  while (reader->Next(&edge)) {
-    ASSERT_LT(i, stream.edges.size());
-    EXPECT_EQ(edge, stream.edges[i]);
-    ++i;
-  }
-  EXPECT_EQ(i, stream.edges.size());
+  EXPECT_EQ(ReadEdges(*reader), stream.edges);
   EXPECT_FALSE(reader->Truncated());
 }
 
@@ -55,12 +55,11 @@ TEST(StreamFileTest, EmptyStream) {
   EdgeStream stream;
   stream.meta = {5, 3, 0};
   std::string path = TempPath("empty.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  ASSERT_TRUE(WriteV2(stream, path));
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
-  Edge edge;
-  EXPECT_FALSE(reader->Next(&edge));
+  EXPECT_TRUE(reader->NextBatch().empty());
 }
 
 TEST(StreamFileTest, RejectsMissingFile) {
@@ -84,7 +83,7 @@ TEST(StreamFileTest, RejectsBadMagic) {
 TEST(StreamFileTest, DetectsTruncation) {
   auto stream = TestStream(2);
   std::string path = TempPath("truncated.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  ASSERT_TRUE(WriteV2(stream, path));
   // Chop off the last 12 bytes.
   std::FILE* f = std::fopen(path.c_str(), "rb+");
   ASSERT_NE(f, nullptr);
@@ -96,10 +95,7 @@ TEST(StreamFileTest, DetectsTruncation) {
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
-  Edge edge;
-  size_t count = 0;
-  while (reader->Next(&edge)) ++count;
-  EXPECT_LT(count, stream.edges.size());
+  EXPECT_LT(ReadEdges(*reader).size(), stream.edges.size());
   EXPECT_TRUE(reader->Truncated());
 }
 
@@ -112,18 +108,20 @@ TEST(StreamFileTest, RunAlgorithmFromFile) {
   auto inst = GeneratePlantedCover(params, rng);
   auto stream = RandomOrderStream(inst, rng);
   std::string path = TempPath("solve.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  ASSERT_TRUE(WriteV2(stream, path));
 
   KkAlgorithm algorithm(7);
-  std::string error;
-  auto solution = RunStreamFromFile(algorithm, path, &error);
-  ASSERT_TRUE(solution.has_value()) << error;
-  EXPECT_TRUE(ValidateSolution(inst, *solution).ok);
+  engine::RunConfig config;
+  config.algorithm_instance = &algorithm;
+  config.source = engine::SourceSpec::File(path);
+  engine::RunReport report = engine::Execute(config);
+  ASSERT_TRUE(report.completed) << report.error;
+  EXPECT_TRUE(ValidateSolution(inst, report.solution).ok);
 
   // Must match an in-memory run bit-for-bit (same seed, same order).
   KkAlgorithm reference(7);
   auto expected = RunStream(reference, stream);
-  EXPECT_EQ(solution->cover, expected.cover);
+  EXPECT_EQ(report.solution.cover, expected.cover);
 }
 
 TEST(StreamFileTest, LargeStreamBuffersCorrectly) {
@@ -139,20 +137,17 @@ TEST(StreamFileTest, LargeStreamBuffersCorrectly) {
   ASSERT_GT(stream.size(), size_t{1} << 16);
 
   std::string path = TempPath("large.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  ASSERT_TRUE(WriteV2(stream, path));
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
-  Edge edge;
-  size_t count = 0;
-  while (reader->Next(&edge)) ++count;
-  EXPECT_EQ(count, stream.size());
+  EXPECT_EQ(ReadEdges(*reader).size(), stream.size());
 }
 
 TEST(StreamFileTest, WritesVersion2WithNoTempFileLeftBehind) {
   auto stream = TestStream(5);
   std::string path = TempPath("v2.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  ASSERT_TRUE(WriteV2(stream, path));
 
   std::FILE* tmp = std::fopen((path + ".tmp").c_str(), "rb");
   EXPECT_EQ(tmp, nullptr) << "atomic writer left its staging file";
@@ -168,23 +163,20 @@ TEST(StreamFileTest, RewriteReplacesAtomically) {
   auto first = TestStream(6);
   auto second = TestStream(7);
   std::string path = TempPath("rewrite.bin");
-  ASSERT_TRUE(WriteStreamFile(first, path));
-  ASSERT_TRUE(WriteStreamFile(second, path));
+  ASSERT_TRUE(WriteV2(first, path));
+  ASSERT_TRUE(WriteV2(second, path));
 
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
   EXPECT_EQ(reader->Meta().stream_length, second.meta.stream_length);
-  Edge edge;
-  size_t i = 0;
-  while (reader->Next(&edge)) EXPECT_EQ(edge, second.edges[i++]);
-  EXPECT_EQ(i, second.size());
+  EXPECT_EQ(ReadEdges(*reader), second.edges);
 }
 
 TEST(StreamFileTest, DetectsFlippedPayloadBitViaChunkChecksum) {
   auto stream = TestStream(8);
   std::string path = TempPath("bitflip.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  ASSERT_TRUE(WriteV2(stream, path));
 
   // Flip one bit inside the first chunk's payload. The file length is
   // untouched, so only the CRC can notice.
@@ -199,17 +191,15 @@ TEST(StreamFileTest, DetectsFlippedPayloadBitViaChunkChecksum) {
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
-  Edge edge;
-  size_t surfaced = 0;
-  while (reader->Next(&edge)) ++surfaced;
+  EXPECT_EQ(ReadEdges(*reader).size(), 0u)
+      << "edges from a corrupt chunk were surfaced";
   EXPECT_TRUE(reader->ChecksumFailed());
-  EXPECT_EQ(surfaced, 0u) << "edges from a corrupt chunk were surfaced";
 }
 
 TEST(StreamFileTest, DetectsCorruptedChunkCountViaDeclaredLength) {
   auto stream = TestStream(9);
   std::string path = TempPath("badcount.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  ASSERT_TRUE(WriteV2(stream, path));
 
   // Overwrite the first chunk's count field. The expected count is
   // derived from the header's N, so the lie is caught immediately
@@ -224,17 +214,14 @@ TEST(StreamFileTest, DetectsCorruptedChunkCountViaDeclaredLength) {
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
-  Edge edge;
-  size_t surfaced = 0;
-  while (reader->Next(&edge)) ++surfaced;
+  EXPECT_EQ(ReadEdges(*reader).size(), 0u);
   EXPECT_TRUE(reader->ChecksumFailed());
-  EXPECT_EQ(surfaced, 0u);
 }
 
 TEST(StreamFileTest, DetectsCorruptedHeaderViaHeaderChecksum) {
   auto stream = TestStream(10);
   std::string path = TempPath("badheader.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  ASSERT_TRUE(WriteV2(stream, path));
 
   // Damage the m field without touching anything else.
   std::FILE* f = std::fopen(path.c_str(), "r+b");
@@ -262,7 +249,7 @@ TEST(StreamFileTest, SeekToEdgeLandsExactly) {
   ASSERT_GT(stream.size(), size_t{3} * 4096);
 
   std::string path = TempPath("seek.bin");
-  ASSERT_TRUE(WriteStreamFile(stream, path));
+  ASSERT_TRUE(WriteV2(stream, path));
   std::string error;
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
@@ -271,15 +258,14 @@ TEST(StreamFileTest, SeekToEdgeLandsExactly) {
                        size_t{4097}, size_t{9000}, stream.size() - 1}) {
     ASSERT_TRUE(reader->SeekToEdge(index)) << index;
     EXPECT_EQ(reader->EdgesRead(), index);
-    Edge edge;
-    ASSERT_TRUE(reader->Next(&edge)) << index;
-    EXPECT_EQ(edge, stream.edges[index]) << index;
+    std::span<const Edge> batch = reader->NextBatch();
+    ASSERT_FALSE(batch.empty()) << index;
+    EXPECT_EQ(batch[0], stream.edges[index]) << index;
   }
 
   // Seeking to N positions at end-of-stream; past N is refused.
   ASSERT_TRUE(reader->SeekToEdge(stream.size()));
-  Edge edge;
-  EXPECT_FALSE(reader->Next(&edge));
+  EXPECT_TRUE(reader->NextBatch().empty());
   EXPECT_FALSE(reader->SeekToEdge(stream.size() + 1));
 }
 

@@ -1,19 +1,26 @@
 // Stream-file format matrix (stream/stream_file.h): every format
-// version × read backend must round-trip bit-exactly, report damage
-// (bit flips, truncation, lost index) via flags instead of surfacing
-// garbage, and v3 must actually be smaller than v2 on the Table-1
-// workloads it exists to shrink.
+// version × decoder (synchronous or prefetch) must round-trip
+// bit-exactly, report damage (bit flips, truncation, lost index) via
+// flags instead of surfacing garbage, and v3 must actually be smaller
+// than v2 on the Table-1 workloads it exists to shrink.
 
 #include "stream/stream_file.h"
 
-#include <cstdio>
-#include <fstream>
+#include <sys/stat.h>
 #include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
 
 #include <gtest/gtest.h>
 
+#include "engine/engine.h"
 #include "instance/generators.h"
 #include "stream/orderings.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace setcover {
@@ -56,7 +63,6 @@ void FlipByte(const std::string& path, uint64_t offset, uint8_t mask) {
 
 struct ReadConfig {
   StreamFormat format;
-  bool use_mmap;
   bool prefetch;
 };
 
@@ -65,13 +71,14 @@ struct ReadConfig {
 std::string ConfigPath(const char* base, const ReadConfig& config) {
   return TempPath(std::string(base) + "_v" +
                   std::to_string(uint32_t(config.format)) +
-                  (config.use_mmap ? "m" : "s") +
                   (config.prefetch ? "p" : "n") + ".bin");
 }
 
+/// "v<format>_mmap_<decoder>": every reader maps the file, and the
+/// backend stays in the name so each case keeps its identity.
 std::string ConfigName(const testing::TestParamInfo<ReadConfig>& info) {
   std::string name = "v" + std::to_string(uint32_t(info.param.format));
-  name += info.param.use_mmap ? "_mmap" : "_stdio";
+  name += "_mmap";
   name += info.param.prefetch ? "_prefetch" : "_sync";
   return name;
 }
@@ -81,7 +88,6 @@ class FormatMatrix : public testing::TestWithParam<ReadConfig> {};
 TEST_P(FormatMatrix, RoundTripsEveryOrdering) {
   const ReadConfig config = GetParam();
   StreamReadOptions options;
-  options.use_mmap = config.use_mmap;
   options.prefetch = config.prefetch;
   for (StreamOrder order :
        {StreamOrder::kRandom, StreamOrder::kSetMajor,
@@ -99,14 +105,7 @@ TEST_P(FormatMatrix, RoundTripsEveryOrdering) {
     EXPECT_EQ(reader->Version(), uint32_t(config.format));
     EXPECT_EQ(reader->Meta().stream_length, stream.meta.stream_length);
 
-    Edge edge;
-    size_t i = 0;
-    while (reader->Next(&edge)) {
-      ASSERT_LT(i, stream.edges.size());
-      ASSERT_EQ(edge, stream.edges[i]) << "edge " << i;
-      ++i;
-    }
-    EXPECT_EQ(i, stream.edges.size());
+    EXPECT_EQ(ReadEdges(*reader), stream.edges);
     EXPECT_FALSE(reader->Truncated());
     EXPECT_FALSE(reader->ChecksumFailed());
   }
@@ -115,7 +114,6 @@ TEST_P(FormatMatrix, RoundTripsEveryOrdering) {
 TEST_P(FormatMatrix, BatchesConcatenateToTheStream) {
   const ReadConfig config = GetParam();
   StreamReadOptions options;
-  options.use_mmap = config.use_mmap;
   options.prefetch = config.prefetch;
   EdgeStream stream = SmallStream(StreamOrder::kRandom);
   std::string path = ConfigPath("batches", config);
@@ -136,7 +134,6 @@ TEST_P(FormatMatrix, BatchesConcatenateToTheStream) {
 TEST_P(FormatMatrix, SeeksLandExactly) {
   const ReadConfig config = GetParam();
   StreamReadOptions options;
-  options.use_mmap = config.use_mmap;
   options.prefetch = config.prefetch;
   EdgeStream stream = SmallStream(StreamOrder::kRandom);
   ASSERT_GT(stream.size(), size_t{2} * 4096);
@@ -150,13 +147,12 @@ TEST_P(FormatMatrix, SeeksLandExactly) {
                        stream.size() - 1, size_t{1}}) {
     ASSERT_TRUE(reader->SeekToEdge(index)) << index;
     EXPECT_EQ(reader->EdgesRead(), index);
-    Edge edge;
-    ASSERT_TRUE(reader->Next(&edge)) << index;
-    EXPECT_EQ(edge, stream.edges[index]) << index;
+    std::span<const Edge> batch = reader->NextBatch();
+    ASSERT_FALSE(batch.empty()) << index;
+    EXPECT_EQ(batch[0], stream.edges[index]) << index;
   }
   ASSERT_TRUE(reader->SeekToEdge(stream.size()));
-  Edge edge;
-  EXPECT_FALSE(reader->Next(&edge));
+  EXPECT_TRUE(reader->NextBatch().empty());
   EXPECT_FALSE(reader->SeekToEdge(stream.size() + 1));
 }
 
@@ -167,7 +163,6 @@ TEST_P(FormatMatrix, FlippedBitSurfacesAsChecksumFailure) {
   const ReadConfig config = GetParam();
   if (config.format == StreamFormat::kV1) return;  // v1 has no CRC
   StreamReadOptions options;
-  options.use_mmap = config.use_mmap;
   options.prefetch = config.prefetch;
   EdgeStream stream = SmallStream(StreamOrder::kRandom);
   std::string path = ConfigPath("flip_matrix", config);
@@ -179,16 +174,14 @@ TEST_P(FormatMatrix, FlippedBitSurfacesAsChecksumFailure) {
 
   auto reader = OpenBatchEdgeReader(path, options, &error);
   ASSERT_NE(reader, nullptr) << error;
-  Edge edge;
-  size_t surfaced = 0;
-  while (reader->Next(&edge)) {
-    ASSERT_EQ(edge, stream.edges[surfaced]) << "corrupt edge surfaced";
-    ++surfaced;
-  }
-  EXPECT_LT(surfaced, stream.size());
+  const std::vector<Edge> surfaced = ReadEdges(*reader);
+  ASSERT_LT(surfaced.size(), stream.size());
+  EXPECT_TRUE(std::equal(surfaced.begin(), surfaced.end(),
+                         stream.edges.begin()))
+      << "corrupt edge surfaced";
   EXPECT_TRUE(reader->ChecksumFailed() || reader->Truncated());
   // Only whole verified chunks precede the damage.
-  EXPECT_EQ(surfaced % 4096, 0u);
+  EXPECT_EQ(surfaced.size() % 4096, 0u);
 }
 
 // Chopping the file mid-chunk must replay the intact prefix and set
@@ -196,7 +189,6 @@ TEST_P(FormatMatrix, FlippedBitSurfacesAsChecksumFailure) {
 TEST_P(FormatMatrix, TruncationReplaysOnlyThePrefix) {
   const ReadConfig config = GetParam();
   StreamReadOptions options;
-  options.use_mmap = config.use_mmap;
   options.prefetch = config.prefetch;
   EdgeStream stream = SmallStream(StreamOrder::kRandom);
   std::string path = ConfigPath("trunc_matrix", config);
@@ -206,13 +198,11 @@ TEST_P(FormatMatrix, TruncationReplaysOnlyThePrefix) {
 
   auto reader = OpenBatchEdgeReader(path, options, &error);
   ASSERT_NE(reader, nullptr) << error;
-  Edge edge;
-  size_t surfaced = 0;
-  while (reader->Next(&edge)) {
-    ASSERT_EQ(edge, stream.edges[surfaced]) << "wrong edge after truncation";
-    ++surfaced;
-  }
-  EXPECT_LT(surfaced, stream.size());
+  const std::vector<Edge> surfaced = ReadEdges(*reader);
+  ASSERT_LT(surfaced.size(), stream.size());
+  EXPECT_TRUE(std::equal(surfaced.begin(), surfaced.end(),
+                         stream.edges.begin()))
+      << "wrong edge after truncation";
   EXPECT_TRUE(reader->Truncated());
   EXPECT_FALSE(reader->ChecksumFailed());
 }
@@ -223,7 +213,6 @@ TEST_P(FormatMatrix, SeekPastTruncationReportsFlagsNotGarbage) {
   const ReadConfig config = GetParam();
   if (config.format == StreamFormat::kV1) return;  // v1: no damage report
   StreamReadOptions options;
-  options.use_mmap = config.use_mmap;
   options.prefetch = config.prefetch;
   EdgeStream stream = SmallStream(StreamOrder::kRandom);
   ASSERT_GT(stream.size(), size_t{2} * 4096);
@@ -235,25 +224,21 @@ TEST_P(FormatMatrix, SeekPastTruncationReportsFlagsNotGarbage) {
   auto reader = OpenBatchEdgeReader(path, options, &error);
   ASSERT_NE(reader, nullptr) << error;
   ASSERT_TRUE(reader->SeekToEdge(stream.size() - 1));
-  Edge edge;
-  EXPECT_FALSE(reader->Next(&edge))
+  EXPECT_TRUE(reader->NextBatch().empty())
       << "read an edge from a region the file no longer contains";
   EXPECT_TRUE(reader->Truncated() || reader->ChecksumFailed());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Formats, FormatMatrix,
-    testing::Values(
-        ReadConfig{StreamFormat::kV1, true, false},
-        ReadConfig{StreamFormat::kV1, false, false},
-        ReadConfig{StreamFormat::kV2, true, false},
-        ReadConfig{StreamFormat::kV2, false, false},
-        ReadConfig{StreamFormat::kV2, true, true},
-        ReadConfig{StreamFormat::kV3, true, false},
-        ReadConfig{StreamFormat::kV3, false, false},
-        ReadConfig{StreamFormat::kV3, true, true},
-        ReadConfig{StreamFormat::kV3, false, true}),
-    ConfigName);
+// Static storage zero-fills ReadConfig's padding, so the parameter
+// bytes gtest prints into each case's description are reproducible.
+constexpr ReadConfig kReadConfigs[] = {
+    {StreamFormat::kV1, false}, {StreamFormat::kV2, false},
+    {StreamFormat::kV2, true},  {StreamFormat::kV3, false},
+    {StreamFormat::kV3, true},
+};
+
+INSTANTIATE_TEST_SUITE_P(Formats, FormatMatrix,
+                         testing::ValuesIn(kReadConfigs), ConfigName);
 
 TEST(StreamFormatTest, V3IsSmallerThanV2OnTable1Workloads) {
   // The Table-1 grid streams planted m ≈ n² instances element-major
@@ -306,17 +291,15 @@ TEST(StreamFormatTest, V3CorruptFooterFallsBackToHeaderScan) {
 
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
-  Edge edge;
-  size_t i = 0;
-  while (reader->Next(&edge)) EXPECT_EQ(edge, stream.edges[i++]);
-  EXPECT_EQ(i, stream.size());
+  EXPECT_EQ(ReadEdges(*reader), stream.edges);
   EXPECT_FALSE(reader->Truncated());
   EXPECT_FALSE(reader->ChecksumFailed());
 
   // Seeks still work off the scanned offsets.
   ASSERT_TRUE(reader->SeekToEdge(4097));
-  ASSERT_TRUE(reader->Next(&edge));
-  EXPECT_EQ(edge, stream.edges[4097]);
+  std::span<const Edge> batch = reader->NextBatch();
+  ASSERT_FALSE(batch.empty());
+  EXPECT_EQ(batch[0], stream.edges[4097]);
 }
 
 TEST(StreamFormatTest, V3LosingOnlyTheIndexLosesNoEdges) {
@@ -329,10 +312,7 @@ TEST(StreamFormatTest, V3LosingOnlyTheIndexLosesNoEdges) {
 
   auto reader = StreamFileReader::Open(path, &error);
   ASSERT_NE(reader, nullptr) << error;
-  Edge edge;
-  size_t i = 0;
-  while (reader->Next(&edge)) EXPECT_EQ(edge, stream.edges[i++]);
-  EXPECT_EQ(i, stream.size());
+  EXPECT_EQ(ReadEdges(*reader), stream.edges);
   EXPECT_FALSE(reader->Truncated());
 }
 
@@ -348,8 +328,6 @@ TEST(StreamFormatTest, V3EmptyStreamRoundTrips) {
     auto reader = OpenBatchEdgeReader(path, options, &error);
     ASSERT_NE(reader, nullptr) << error;
     EXPECT_EQ(reader->Meta().num_sets, 9u);
-    Edge edge;
-    EXPECT_FALSE(reader->Next(&edge));
     EXPECT_TRUE(reader->NextBatch().empty());
   }
 }
@@ -372,19 +350,25 @@ TEST(StreamFormatTest, ReaderReportsErrnoDerivedOpenErrors) {
       << error;
 }
 
-TEST(StreamFormatTest, StdioBackendIsUsedWhenMmapIsDisabled) {
-  EdgeStream stream = SmallStream(StreamOrder::kRandom);
-  std::string path = TempPath("backend.bin");
+// With mmap the only backend, a path it cannot map (here a directory)
+// must fail cleanly at open, both for the bare reader and for a whole
+// engine run over it.
+TEST(StreamFormatTest, UnmappablePathFailsOpenAndTheRun) {
+  const std::string dir = TempPath("unmappable_" + std::to_string(getpid()));
+  ASSERT_EQ(mkdir(dir.c_str(), 0700), 0) << std::strerror(errno);
+
   std::string error;
-  ASSERT_TRUE(WriteStreamFile(stream, path, StreamFormat::kV3, &error));
-  StreamReadOptions options;
-  options.use_mmap = false;
-  auto reader = StreamFileReader::Open(path, options, &error);
-  ASSERT_NE(reader, nullptr) << error;
-  EXPECT_FALSE(reader->UsesMmap());
-  auto mapped = StreamFileReader::Open(path, &error);
-  ASSERT_NE(mapped, nullptr) << error;
-  EXPECT_TRUE(mapped->UsesMmap());
+  EXPECT_EQ(StreamFileReader::Open(dir, &error), nullptr);
+  EXPECT_FALSE(error.empty());
+
+  engine::RunConfig config;
+  config.algorithm = "kk";
+  config.source = engine::SourceSpec::File(dir);
+  engine::RunReport report = engine::Execute(config);
+  EXPECT_FALSE(report.completed);
+  EXPECT_FALSE(report.error.empty());
+
+  rmdir(dir.c_str());
 }
 
 }  // namespace

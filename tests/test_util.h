@@ -3,10 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <limits>
+#include <span>
+#include <vector>
+
 #include "core/streaming_algorithm.h"
 #include "instance/instance.h"
 #include "instance/validator.h"
 #include "stream/orderings.h"
+#include "stream/stream_file.h"
 #include "util/rng.h"
 
 namespace setcover {
@@ -24,6 +31,22 @@ inline CoverSolution RunAndValidate(StreamingSetCoverAlgorithm& algorithm,
   EXPECT_TRUE(check.ok) << algorithm.Name() << " on "
                         << StreamOrderName(order) << ": " << check.error;
   return solution;
+}
+
+/// Reads up to `limit` edges from `reader`'s cursor on — the
+/// concatenation of its NextBatch() spans, cut at `limit` — stopping
+/// early at end of stream or at damage (see the reader's flags).
+inline std::vector<Edge> ReadEdges(
+    BatchEdgeReader& reader,
+    size_t limit = std::numeric_limits<size_t>::max()) {
+  std::vector<Edge> edges;
+  while (edges.size() < limit) {
+    std::span<const Edge> batch = reader.NextBatch();
+    if (batch.empty()) break;
+    batch = batch.first(std::min(batch.size(), limit - edges.size()));
+    edges.insert(edges.end(), batch.begin(), batch.end());
+  }
+  return edges;
 }
 
 }  // namespace setcover

@@ -6,11 +6,11 @@
 //             Creates an instance file (text format, instance/io.h).
 //
 //   stream    --instance instance.txt --order random|set-major|...
-//             --seed S --out stream.bin [--stream-format v1|v2|v3]
+//             --seed S --out stream.bin
 //             Materializes an ordered edge stream into the binary
-//             stream-file format (stream/stream_file.h). The default
-//             format v3 is delta-varint compressed; v2 writes raw CRC'd
-//             chunks, v1 the unchecksummed legacy layout.
+//             stream-file format (stream/stream_file.h), always v3:
+//             delta-varint compressed, CRC'd chunks. Older v1/v2 files
+//             stay readable by solve-stream.
 //
 //   solve     --instance instance.txt [--algorithm kk] [--order random]
 //             [--seed S] [--alpha A] [--runs R] [--threads T]
@@ -22,7 +22,7 @@
 //
 //   solve-stream --stream stream.bin [--algorithm kk] [--seed S]
 //             [--threads T] [--passes P] [--window K --replay-every R]
-//             [--no-prefetch] [--no-mmap]
+//             [--no-prefetch]
 //             [--timings] [--checkpoint ckpt.sckp]
 //             [--checkpoint-every K] [--resume] [--stop-after K]
 //             Replays a binary stream file through the engine (no
@@ -34,9 +34,8 @@
 //             run. --stop-after kills the run after K edges (for
 //             demonstrating/testing recovery; docs/robustness.md).
 //             --no-prefetch disables the background pipeline decoder
-//             and --no-mmap the zero-copy file mapping; both exist for
-//             benchmarking and debugging — results are bit-identical
-//             with any combination. --timings prints the engine's
+//             (for benchmarking and debugging; results are
+//             bit-identical either way). --timings prints the engine's
 //             per-stage wall/CPU breakdown. --passes P layers a P-pass
 //             schedule over the file (each pass replays the identical
 //             record sequence);
@@ -66,11 +65,9 @@
 // flag), checked before anything runs.
 //
 // Examples:
-//   setcover_cli generate --family=planted --n=1024 --m=65536 \
-//       --opt=4 --out=/tmp/inst.txt
+//   setcover_cli generate --n=1024 --m=65536 --opt=4 --out=/tmp/inst.txt
 //   setcover_cli solve --instance=/tmp/inst.txt --algorithm=random-order
-//   setcover_cli stream --instance=/tmp/inst.txt --order=random \
-//       --out=/tmp/stream.bin
+//   setcover_cli stream --instance=/tmp/inst.txt --out=/tmp/stream.bin
 //   setcover_cli solve-stream --stream=/tmp/stream.bin --algorithm=kk
 
 #include <chrono>
@@ -201,21 +198,7 @@ int CmdStream(const FlagSet& flags) {
   std::string path = flags.GetString("instance", "");
   std::string out = flags.GetString("out", "stream.bin");
   std::string order_name = flags.GetString("order", "random");
-  std::string format_name = flags.GetString("stream-format", "v3");
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-
-  StreamFormat format;
-  if (format_name == "v1") {
-    format = StreamFormat::kV1;
-  } else if (format_name == "v2") {
-    format = StreamFormat::kV2;
-  } else if (format_name == "v3") {
-    format = StreamFormat::kV3;
-  } else {
-    std::fprintf(stderr, "unknown --stream-format=%s (v1|v2|v3)\n",
-                 format_name.c_str());
-    return 2;
-  }
 
   std::string error;
   auto instance = ReadInstanceFile(path, &error);
@@ -230,13 +213,13 @@ int CmdStream(const FlagSet& flags) {
   }
   Rng rng(seed);
   EdgeStream stream = OrderedStream(*instance, *order, rng);
-  if (!WriteStreamFile(stream, out, format, &error)) {
+  if (!WriteStreamFile(stream, out, StreamFormat::kV3, &error)) {
     std::fprintf(stderr, "cannot write %s: %s\n", out.c_str(),
                  error.c_str());
     return 1;
   }
-  std::printf("wrote %s: %zu edges in %s order (format %s)\n", out.c_str(),
-              stream.size(), order_name.c_str(), format_name.c_str());
+  std::printf("wrote %s: %zu edges in %s order (format v3)\n", out.c_str(),
+              stream.size(), order_name.c_str());
   return 0;
 }
 
@@ -371,7 +354,6 @@ int CmdSolveStream(const FlagSet& flags) {
 
   StreamReadOptions read_options;
   read_options.prefetch = !flags.GetBool("no-prefetch", false);
-  read_options.use_mmap = !flags.GetBool("no-mmap", false);
   config.source = engine::SourceSpec::File(path, read_options);
   config.source.schedule.passes = static_cast<uint32_t>(passes);
   config.source.schedule.window = static_cast<uint32_t>(window);
@@ -479,14 +461,14 @@ const std::vector<const char*>* KnownFlags(const std::string& command) {
       {"generate",
        {"family", "n", "m", "seed", "out", "opt", "decoy-min", "decoy-max",
         "set-min", "set-max", "exponent", "p"}},
-      {"stream", {"instance", "out", "order", "stream-format", "seed"}},
+      {"stream", {"instance", "out", "order", "seed"}},
       {"solve",
        {"instance", "algorithm", "order", "seed", "runs", "threads",
         "alpha"}},
       {"compare", {"instance", "order", "seed"}},
       {"solve-stream",
        {"stream", "algorithm", "passes", "window", "replay-every", "seed",
-        "alpha", "threads", "no-prefetch", "no-mmap", "checkpoint",
+        "alpha", "threads", "no-prefetch", "checkpoint",
         "checkpoint-every", "resume", "stop-after", "timings"}},
   };
   auto it = known.find(command);
