@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <memory>
 #include <regex>
 #include <thread>
 
@@ -55,8 +56,10 @@ bool ParseStringFlag(const char* arg, const char* name, std::string* out) {
 
 // ---- registry -----------------------------------------------------
 
-std::vector<internal::Benchmark*>& Registry() {
-  static std::vector<internal::Benchmark*> registry;
+// Owns every BENCHMARK(...) family, so the registrations are freed at
+// exit rather than leaked when the vector's buffer goes.
+std::vector<std::unique_ptr<internal::Benchmark>>& Registry() {
+  static std::vector<std::unique_ptr<internal::Benchmark>> registry;
   return registry;
 }
 
@@ -339,7 +342,7 @@ void State::SkipWithError(const char* msg) {
 namespace internal {
 
 Benchmark* RegisterBenchmarkInternal(Benchmark* benchmark) {
-  Registry().push_back(benchmark);
+  Registry().emplace_back(benchmark);
   return benchmark;
 }
 

@@ -19,14 +19,16 @@
 #      Both sides of that comparison must be Release: the gate prints
 #      the build type of build-release/ and of the committed baseline
 #      and refuses to compare anything else,
-#   2. the engine-equivalence + batch-equivalence + stream-format tests
-#      plus the greedy kernel differential + CSR instance tests, and the
-#      session wire protocol's hostile-byte surface, under ASan+UBSan,
+#   2. the engine-equivalence + batch-equivalence + stream-format +
+#      file-residency tests plus the greedy kernel differential + CSR
+#      instance tests, and the session wire protocol's hostile-byte
+#      surface, under ASan+UBSan,
 #   3. the thread pool + parallel multi-run (which fans out over
-#      engine::Execute sessions) + prefetch decoder tests, plus the
-#      concurrent session server and its kill-and-resume soak, under
-#      TSan (-DSETCOVER_TSAN=ON), so the engine-backed parallel drivers
-#      and the server's scheduler/drain paths are race-checked.
+#      engine::Execute sessions) + prefetch decoder + file-residency
+#      tests, plus the concurrent session server and its
+#      kill-and-resume soak, under TSan (-DSETCOVER_TSAN=ON), so the
+#      engine-backed parallel drivers and the server's scheduler/drain
+#      paths are race-checked.
 #
 # Both modes start with layering guards: only the engine's session core
 # (and the contract's own definition sites) may drive ProcessEdgeBatch —
@@ -296,13 +298,17 @@ EOF
   cmake -B build-asan -S . -DSETCOVER_SANITIZE=ON $WERROR >/dev/null
   cmake --build build-asan -j "$JOBS" \
     --target engine_equivalence_test batch_equivalence_test \
-             stream_format_test greedy_kernel_test instance_test \
-             bitset_test wire_protocol_test engine_session_test \
+             stream_format_test file_residency_test greedy_kernel_test \
+             instance_test bitset_test wire_protocol_test engine_session_test \
              simd_kernel_test simd_dispatch_test \
              shm_ring_test transport_framing_test windowed_ingest_test
   build-asan/tests/engine_equivalence_test
   build-asan/tests/batch_equivalence_test
   build-asan/tests/stream_format_test
+  # Both readers release the mapping's pages behind the consumer; ASan
+  # watches every read of a span whose pages were dropped and faulted
+  # back in.
+  build-asan/tests/file_residency_test
   build-asan/tests/greedy_kernel_test
   build-asan/tests/instance_test
   build-asan/tests/bitset_test
@@ -330,12 +336,15 @@ EOF
   cmake -B build-tsan -S . -DSETCOVER_TSAN=ON $WERROR >/dev/null
   cmake --build build-tsan -j "$JOBS" \
     --target thread_pool_test multi_run_test batch_equivalence_test \
-             prefetch_decoder_test session_server_test session_soak_test \
-             shm_ring_test windowed_ingest_test
+             prefetch_decoder_test file_residency_test session_server_test \
+             session_soak_test shm_ring_test windowed_ingest_test
   build-tsan/tests/thread_pool_test
   build-tsan/tests/multi_run_test
   build-tsan/tests/batch_equivalence_test
   build-tsan/tests/prefetch_decoder_test
+  # The prefetch consumer releases pages of the mapping (madvise) while
+  # the worker decodes further on in it.
+  build-tsan/tests/file_residency_test
   # The concurrent session server: worker fan-out, shedding, drain, and
   # the 1024-session kill-and-resume soak, all race-checked.
   build-tsan/tests/session_server_test

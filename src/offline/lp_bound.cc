@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "util/rng.h"
@@ -16,17 +17,14 @@ std::vector<double> BuildCertificate(const SetCoverInstance& instance,
   const uint32_t n = instance.NumElements();
   const uint32_t m = instance.NumSets();
 
-  // max set size containing each element (0 for isolated elements).
-  std::vector<uint32_t> max_size(n, 0);
-  for (SetId s = 0; s < m; ++s) {
-    uint32_t size = static_cast<uint32_t>(instance.Set(s).size());
-    for (ElementId u : instance.Set(s)) {
-      max_size[u] = std::max(max_size[u], size);
-    }
-  }
+  // y_u = 1 / (largest set containing u); 0 for isolated elements.
   std::vector<double> y(n, 0.0);
   for (ElementId u = 0; u < n; ++u) {
-    if (max_size[u] > 0) y[u] = 1.0 / double(max_size[u]);
+    size_t max_size = 0;
+    for (SetId s : instance.ElementSets(u)) {
+      max_size = std::max(max_size, instance.Set(s).size());
+    }
+    if (max_size > 0) y[u] = 1.0 / double(max_size);
   }
 
   // Per-set loads for the lifting passes.
@@ -35,24 +33,20 @@ std::vector<double> BuildCertificate(const SetCoverInstance& instance,
     for (ElementId u : instance.Set(s)) load[s] += y[u];
   }
 
-  // Element -> incident sets index (needed for slack queries).
-  std::vector<std::vector<SetId>> incident(n);
-  for (SetId s = 0; s < m; ++s) {
-    for (ElementId u : instance.Set(s)) incident[u].push_back(s);
-  }
-
   Rng rng(seed);
   std::vector<ElementId> order(n);
   std::iota(order.begin(), order.end(), 0);
   for (uint32_t pass = 0; pass < improvement_passes; ++pass) {
     rng.Shuffle(order);
     for (ElementId u : order) {
-      if (incident[u].empty()) continue;
+      // Incident sets in ascending id order, from the inverse CSR.
+      std::span<const SetId> incident = instance.ElementSets(u);
+      if (incident.empty()) continue;
       double slack = 1.0;
-      for (SetId s : incident[u]) slack = std::min(slack, 1.0 - load[s]);
+      for (SetId s : incident) slack = std::min(slack, 1.0 - load[s]);
       if (slack <= 1e-12) continue;
       y[u] += slack;
-      for (SetId s : incident[u]) load[s] += slack;
+      for (SetId s : incident) load[s] += slack;
     }
   }
   return y;

@@ -1,5 +1,6 @@
 #include "stream/mmap_file.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -13,6 +14,11 @@ namespace {
 
 void SetError(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
+}
+
+size_t PageSize() {
+  static const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  return page;
 }
 
 }  // namespace
@@ -58,6 +64,21 @@ void MmapFile::Close() {
   }
   data_ = nullptr;
   size_ = 0;
+  released_ = 0;
+}
+
+void MmapFile::ReleaseBefore(size_t offset) {
+  const size_t end = std::min(offset, size_) / PageSize() * PageSize();
+  if (end < released_) {
+    released_ = end;
+    return;
+  }
+  if (end - released_ < kReleaseStride) return;
+  // mmap returns a page-aligned base, so [released_, end) is whole
+  // pages. Failure only leaves them resident; nothing to report.
+  ::madvise(const_cast<uint8_t*>(data_) + released_, end - released_,
+            MADV_DONTNEED);
+  released_ = end;
 }
 
 }  // namespace setcover

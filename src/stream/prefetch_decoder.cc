@@ -70,7 +70,10 @@ const StreamFileReader::DecodedChunk* PrefetchDecoder::AcquireChunk(
       ++active_index_;
       return &active_unit_->chunks[active_index_];
     }
-    // Unit drained: hand it back to the worker.
+    // Unit drained: drop its pages from the resident set, then hand it
+    // back to the worker. Only this thread releases, so the mapping's
+    // watermark has one writer while the worker decodes further on.
+    reader_->ReleaseBefore(active_unit_->first_chunk + active_unit_->count);
     pipe_.FinishDrain();
     active_unit_ = nullptr;
   }
@@ -124,6 +127,7 @@ bool PrefetchDecoder::SeekToEdge(size_t index) {
   truncated_ = false;
   checksum_failed_ = false;
   edges_read_ = index;
+  reader_->ReleaseBefore(index / kChunkEdges);
   StartWorker(index / kChunkEdges);
   return true;
 }

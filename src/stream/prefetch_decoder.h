@@ -23,9 +23,12 @@ namespace setcover {
 /// two are drop-in interchangeable and must produce bit-identical runs.
 ///
 /// Threading: all public methods are consumer-thread-only. The worker
-/// is the sole caller of StreamFileReader::DecodeChunk; SeekToEdge
-/// joins the worker, rewinds, and restarts it (seeks are a resume-path
-/// rarity, so simplicity beats cleverness there).
+/// is the sole caller of StreamFileReader::DecodeChunk; the consumer
+/// is the sole caller of StreamFileReader::ReleaseBefore, which it
+/// calls for a unit's chunks as it hands the drained unit back.
+/// SeekToEdge joins the worker, rewinds (the release watermark too),
+/// and restarts it (seeks are a resume-path rarity, so simplicity
+/// beats cleverness there).
 class PrefetchDecoder : public BatchEdgeReader {
  public:
   /// Takes ownership of an open reader and starts prefetching chunk 0.

@@ -269,7 +269,20 @@ bool StreamFileReader::LoadV3Offsets(std::string*) {
     offset += kChunkHeaderBytesV3 + payload_bytes;
     if (offset > map_.size()) break;  // truncated payload; chunk recorded
   }
+  // The scan faulted in the file's chunk headers; the first read
+  // rewinds the watermark, and the pass releases them again as it goes.
+  map_.ReleaseBefore(offset);
   return true;
+}
+
+uint64_t StreamFileReader::ChunkOffset(size_t chunk) const {
+  if (version_ == kVersionV1) return ChunkFileOffsetV1(chunk);
+  if (version_ == kVersionV2) return ChunkFileOffsetV2(chunk);
+  return chunk < v3_offsets_.size() ? v3_offsets_[chunk] : v3_data_end_;
+}
+
+void StreamFileReader::ReleaseBefore(size_t chunk) {
+  map_.ReleaseBefore(ChunkOffset(chunk));
 }
 
 bool StreamFileReader::DecodeChunk(size_t chunk, DecodedChunk* out) {
@@ -390,6 +403,9 @@ bool StreamFileReader::FillBuffer() {
   // The cursor may sit mid-chunk after a SeekToEdge; the containing
   // chunk is decoded whole and the prefix skipped.
   const size_t chunk = edges_read_ / kChunkEdges;
+  // The previous chunk's span is dead by the NextBatch contract, so
+  // every page before this chunk may leave the resident set.
+  ReleaseBefore(chunk);
   if (!DecodeChunk(chunk, &current_)) return false;
   current_valid_ = true;
   if (current_.checksum_failed) {
@@ -421,6 +437,7 @@ bool StreamFileReader::SeekToEdge(size_t index) {
   checksum_failed_ = false;
   truncated_ = false;
   edges_read_ = index;
+  ReleaseBefore(index / kChunkEdges);
   return true;
 }
 

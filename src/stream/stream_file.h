@@ -101,6 +101,10 @@ class BatchEdgeReader {
   /// when the cursor sits on a chunk boundary. Empty at end of stream,
   /// after truncation, or after a checksum failure. The span aliases
   /// reader-owned storage and is invalidated by the next read or seek.
+  /// Reading on is also what tells a file reader the consumer has moved
+  /// past earlier chunks: their pages of the mapping may then leave the
+  /// process's resident set (MmapFile::ReleaseBefore), so a sequential
+  /// pass keeps O(chunk) of the file resident, not the whole file.
   virtual std::span<const Edge> NextBatch() = 0;
 
   /// Repositions the cursor so the next NextBatch() starts at edge
@@ -126,6 +130,9 @@ class BatchEdgeReader {
 /// Incremental synchronous reader: maps the file, exposes the metadata,
 /// and yields edges chunk by chunk without materializing the stream.
 /// v1/v2 batches are served zero-copy straight out of the mapping.
+/// Before it decodes a chunk, the reader releases the pages before it
+/// (ReleaseBefore); SeekToEdge moves the release watermark back to the
+/// target chunk, so every pass of a k-pass or resumed run stays bounded.
 class StreamFileReader : public BatchEdgeReader {
  public:
   /// Maps `path`. Returns nullptr (and sets *error) when the file
@@ -152,7 +159,8 @@ class StreamFileReader : public BatchEdgeReader {
   /// One decoded chunk plus its damage report. `edges` aliases either
   /// `storage` (v3) or, for the zero-copy v1/v2 formats, the mapping
   /// itself; it stays valid until the DecodedChunk is reused or the
-  /// reader is destroyed.
+  /// reader is destroyed. A v1/v2 span whose pages were released stays
+  /// readable: the pages fault back in with the same bytes.
   struct DecodedChunk {
     std::vector<Edge> storage;
     std::span<const Edge> edges;
@@ -165,12 +173,24 @@ class StreamFileReader : public BatchEdgeReader {
   /// DecodedChunk, and a damaged chunk never exposes payload edges
   /// (except v1, which has no checksums and surfaces the intact
   /// prefix). Does not move the reader's cursor. Safe to call from a
-  /// thread other than the cursor's (the mapping is immutable) — the
-  /// contract the prefetch decoder is built on.
+  /// thread other than the cursor's (the mapping's bytes never change,
+  /// whichever pages are resident) — the contract the prefetch decoder
+  /// is built on.
   bool DecodeChunk(size_t chunk, DecodedChunk* out);
+
+  /// Declares every chunk before `chunk` consumed: the mapping's pages
+  /// below it may be dropped from the resident set, and a `chunk`
+  /// behind the last release rewinds the watermark (see
+  /// MmapFile::ReleaseBefore). Cursor-thread only — the prefetch
+  /// decoder calls it when it hands a drained unit back, never from its
+  /// worker.
+  void ReleaseBefore(size_t chunk);
 
  private:
   StreamFileReader() = default;
+  /// File offset where chunk `chunk` starts; the end of the chunk area
+  /// for a v3 chunk the file cannot locate.
+  uint64_t ChunkOffset(size_t chunk) const;
   bool FillBuffer();
   bool LoadV3Offsets(std::string* error);
   bool ReadRaw(uint64_t offset, void* out, size_t bytes);
